@@ -61,9 +61,8 @@ DramChannel::armKick(Cycle when)
     // at now. The first no-op of the cycle is deliberately NOT
     // skipped: its re-arm pins the wheel entry at the re-arm cycle
     // that the baseline's revival semantics (event-queue invariant
-    // I5) can observe; only the redundant repeats are elided. The
-    // A/B knob and the coalescing unit/e2e diff tests guard this.
-    if (coalesceKicks_ && kickEvent_.armed() &&
+    // I5) can observe; only the redundant repeats are elided.
+    if (kickEvent_.armed() &&
         lastNoopKickCycle_ == when &&
         kickEvent_.when() + timing_.toCore(kReserveAheadDramCycles / 2) ==
             busFree_ &&
@@ -308,7 +307,7 @@ DramChannel::issue(Pending p)
         casTime = start + timing_.toCore(timing_.scaledRCD());
         bank.lastActStart = start;
         bank.openRow = row;
-        power_.onActivate(p.req.cat, p.req.tenant, energySink_);
+        power_.onActivate(p.req.cat, p.req.tenant);
     } else {
         const Cycle rasDone =
             bank.lastActStart + timing_.toCore(timing_.scaledRAS());
@@ -318,10 +317,10 @@ DramChannel::issue(Pending p)
         bank.lastActStart = actStart;
         bank.openRow = row;
         ++statRowConflicts_;
-        power_.onActivate(p.req.cat, p.req.tenant, energySink_);
+        power_.onActivate(p.req.cat, p.req.tenant);
     }
     power_.onBurst(p.req.bytes, p.req.tagBytes, p.req.isWrite, p.req.cat,
-                   p.req.tenant, energySink_);
+                   p.req.tenant);
 
     const Cycle dataReady = casTime + timing_.toCore(timing_.scaledCAS());
     const Cycle transfer =
@@ -331,7 +330,7 @@ DramChannel::issue(Pending p)
 
     busFree_ = complete;
     busBusyCycles_ += transfer;
-    power_.onBusBusy(transfer, energySink_);
+    power_.onBusBusy(transfer);
     // CAS commands pipeline: the bank accepts the next column access
     // one burst slot after this one issued (tCCD ~= burst length),
     // so consecutive row hits stream at full bus bandwidth while the
@@ -362,18 +361,10 @@ DramChannel::issue(Pending p)
     }
 
     if (p.req.done) {
-        if (completions_) {
-            // Event-domain mode: the completion cycle is known at
-            // issue time, so export it now — waiting for the event to
-            // fire on this (domain-local) queue would hand it to the
-            // frontend one epoch after it already ran that window.
-            completions_->deliver(complete, std::move(p.req.done));
-        } else {
-            // The CycleFn overload passes the firing cycle
-            // (== complete) straight through: the DramDoneFn moves
-            // into a pooled event node with no wrapper closure.
-            eq_.schedule(complete, std::move(p.req.done));
-        }
+        // The CycleFn overload passes the firing cycle (== complete)
+        // straight through: the DramDoneFn moves into a pooled event
+        // node with no wrapper closure.
+        eq_.schedule(complete, std::move(p.req.done));
     }
 }
 
@@ -410,16 +401,15 @@ DramChannel::kick()
 
 DramModel::DramModel(EventQueue &eq, DramTiming timing,
                      std::uint32_t numChannels, std::string name,
-                     DramPowerParams powerParams, ChannelQueueMap *domains)
+                     DramPowerParams powerParams)
     : eq_(eq), timing_(timing), name_(std::move(name)), stats_(name_),
       power_(powerParams, timing_, numChannels, stats_)
 {
     sim_assert(numChannels > 0, "DRAM device needs >= 1 channel");
     channels_.reserve(numChannels);
     for (std::uint32_t c = 0; c < numChannels; ++c) {
-        EventQueue &chq = domains ? domains->nextChannelQueue() : eq_;
         channels_.push_back(std::make_unique<DramChannel>(
-            chq, timing_, traffic_, power_, stats_,
+            eq_, timing_, traffic_, power_, stats_,
             "ch" + std::to_string(c)));
     }
 }

@@ -44,45 +44,6 @@ class PageJournal;       // telemetry/span_trace.hh
 /** Completion callback: invoked with the cycle the data finished. */
 using DramDoneFn = std::function<void(Cycle)>;
 
-class DramChannel;
-struct DramRequest;
-
-/**
- * Event-domain hooks (sim/domain_engine.hh). All three interfaces
- * are inert by default: a DramModel built without a ChannelQueueMap
- * puts every channel on the system queue and never consults a router
- * or sink, keeping the serial path byte-identical.
- */
-
-/** Assigns each DRAM channel, in construction order, to the event
- *  queue shard its scheduler will run on. */
-class ChannelQueueMap
-{
-  public:
-    virtual ~ChannelQueueMap() = default;
-    virtual EventQueue &nextChannelQueue() = 0;
-};
-
-/** Frontend-side mailbox for requests bound for a channel that lives
- *  in another event domain (single producer: the frontend thread). */
-class DramDomainRouter
-{
-  public:
-    virtual ~DramDomainRouter() = default;
-    virtual void send(DramChannel &ch, DramRequest req) = 0;
-};
-
-/** Channel-side export of completion callbacks: instead of firing on
- *  the channel's (domain-local) queue — which would reach the
- *  frontend in its past — completions are recorded at issue time and
- *  merged onto the frontend queue at the next epoch boundary. */
-class DramCompletionSink
-{
-  public:
-    virtual ~DramCompletionSink() = default;
-    virtual void deliver(Cycle when, DramDoneFn fn) = 0;
-};
-
 /** Largest single DRAM transaction (see file comment). */
 constexpr std::uint32_t kMaxRequestBytes = 512;
 
@@ -141,25 +102,6 @@ class DramChannel
     void setQosShares(const std::array<double, kMaxTenants> &shares);
 
     void resetStats() { busBusyCycles_ = 0; }
-
-    /** A/B knob for no-op-kick coalescing: once a kick has fired this
-     *  cycle and issued nothing, further same-cycle supersedes replay
-     *  an identical no-op round trip and are elided (see armKick). */
-    void setKickCoalescing(bool on) { coalesceKicks_ = on; }
-
-    /** The event queue this channel's scheduler runs on (the system
-     *  queue, or its domain's shard under a ChannelQueueMap). */
-    EventQueue &queue() { return eq_; }
-
-    /** Export completions to @p sink instead of scheduling them on
-     *  this channel's queue (event-domain mode). Null restores the
-     *  direct path. */
-    void setCompletionSink(DramCompletionSink *sink) { completions_ = sink; }
-
-    /** Charge this channel's dynamic energy to a private shard
-     *  instead of the shared device model (event-domain mode). Null
-     *  restores the direct path. */
-    void setEnergySink(EnergyStats *shard) { energySink_ = shard; }
 
   private:
     struct Pending
@@ -224,8 +166,6 @@ class DramChannel
     const DramTiming &timing_;
     TrafficStats &traffic_;
     DramPowerModel &power_;
-    DramCompletionSink *completions_ = nullptr;
-    EnergyStats *energySink_ = nullptr;
     ChannelTelemetry *telem_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
@@ -241,7 +181,6 @@ class DramChannel
      *  armKick() re-arms it to earlier cycles in place. */
     TickEvent kickEvent_;
     bool drainingWrites_ = false;
-    bool coalesceKicks_ = false;
     /** Cycle of the last kick that issued nothing (~0 = none): the
      *  guard for collapsing repeated same-cycle no-op kicks. */
     Cycle lastNoopKickCycle_ = ~0ull;
@@ -274,18 +213,9 @@ class DramChannel
 class DramModel
 {
   public:
-    /** @p domains, when given, assigns each channel's scheduler to an
-     *  event-queue shard (sim/domain_engine.hh); null keeps every
-     *  channel on @p eq (the serial path). */
     DramModel(EventQueue &eq, DramTiming timing, std::uint32_t numChannels,
               std::string name,
-              DramPowerParams powerParams = DramPowerParams::inPackage(),
-              ChannelQueueMap *domains = nullptr);
-
-    /** Route requests to out-of-domain channels through @p router
-     *  (installed only in event-domain mode; traffic accounting stays
-     *  on the calling thread either way). */
-    void setDomainRouter(DramDomainRouter *router) { router_ = router; }
+              DramPowerParams powerParams = DramPowerParams::inPackage());
 
     /** Issue a request on an explicit channel. */
     void
@@ -299,10 +229,6 @@ class DramModel
         if (req.tagBytes > 0)
             traffic_.add(TrafficCat::Tag, req.tagBytes, req.tenant);
         traffic_.add(req.cat, req.bytes - req.tagBytes, req.tenant);
-        if (router_) {
-            router_->send(*channels_[channel], std::move(req));
-            return;
-        }
         channels_[channel]->push(std::move(req));
     }
 
@@ -368,7 +294,6 @@ class DramModel
 
   private:
     EventQueue &eq_;
-    DramDomainRouter *router_ = nullptr;
     DramTiming timing_;
     std::string name_;
     DramQosConfig qosConfig_;

@@ -78,7 +78,7 @@ runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
                 perf[i].wallSeconds =
                     std::chrono::duration<double>(clock::now() - start)
                         .count();
-                perf[i].events = system.totalEventsExecuted();
+                perf[i].events = system.eventQueue().eventsExecuted();
                 const std::size_t done = finished.fetch_add(1) + 1;
                 if (opts.showProgress) {
                     std::fprintf(stderr, "\r[bench] %zu/%zu %-40s", done,

@@ -146,14 +146,6 @@ SystemConfig::withDramQos(Cycle epochCycles, Cycle readAgeCap,
 }
 
 SystemConfig &
-SystemConfig::withIntraDomains(std::uint32_t n)
-{
-    sim_assert(n >= 1, "intraDomains must be >= 1");
-    intraDomains = n;
-    return *this;
-}
-
-SystemConfig &
 SystemConfig::withTelemetry(std::string path, Cycle epochCycles)
 {
     telemetry.enabled = true;

@@ -87,16 +87,6 @@ struct SystemConfig
      */
     std::vector<TenantConfig> tenants;
 
-    /**
-     * Intra-system event domains (sim/domain_engine.hh): 1 (default)
-     * runs the whole system on one event queue, byte-identical to
-     * every prior release; N > 1 adds up to N-1 DRAM-channel domains
-     * on their own threads, pipelined against the frontend with
-     * epoch barriers. Results are bit-reproducible for a fixed N but
-     * differ across N (different same-cycle interleavings).
-     */
-    std::uint32_t intraDomains = 1;
-
     // Workload + run control.
     std::string workload = "pagerank";
     double footprintScale = 1.0;
@@ -178,15 +168,6 @@ struct SystemConfig
                               Cycle writeAgeCap = 16384,
                               std::uint32_t writeDrainHigh = 0,
                               std::uint32_t writeDrainLow = 0);
-
-    /**
-     * Split this system's event execution across @p n event domains
-     * (see the intraDomains field; n == 1 restores the serial
-     * engine). Incompatible with telemetry, span tracing, the QoS
-     * channel scheduler, Batman, and power-driven resize policies —
-     * those read state across the domain boundary mid-run.
-     */
-    SystemConfig &withIntraDomains(std::uint32_t n);
 
     /**
      * Enable epoch-resolved telemetry: metric time series, latency
