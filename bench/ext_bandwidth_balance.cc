@@ -48,7 +48,8 @@ main(int argc, char **argv)
             }
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"scheme", "avg gain", "max gain"}, 14);
@@ -83,5 +84,6 @@ main(int argc, char **argv)
                 100.0 * (bansheeBw / alloyBw - 1.0));
     std::printf("Paper: Alloy +5%% avg (max +24%%); Banshee +1%% avg "
                 "(max +11%%).\n");
+    maybeWriteJson(opt, "ext_bandwidth_balance", exps, results, &perf);
     return 0;
 }

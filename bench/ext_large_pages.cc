@@ -57,7 +57,8 @@ main(int argc, char **argv)
         large.mem.mcStripeBits = kLargePageBits;
         exps.push_back({w + "/2M", large});
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"workload", "4K cycles", "2M cycles", "2M gain",
@@ -80,5 +81,6 @@ main(int argc, char **argv)
     table.printRule();
     std::printf("average 2M-page gain: %+.1f%%  (paper: +3.6%%)\n",
                 100.0 * (geomean(gains) - 1.0));
+    maybeWriteJson(opt, "ext_large_pages", exps, results, &perf);
     return 0;
 }

@@ -61,7 +61,8 @@ main(int argc, char **argv)
         for (auto &e : resizeSweep(base, w, kEpoch, kTarget))
             exps.push_back(std::move(e));
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"workload", "off-BPI none", "off-BPI CH",
@@ -99,5 +100,6 @@ main(int argc, char **argv)
                 "measured phase containing the shrink;\n mig = pages "
                 "drained by the migration engine; dIPC = IPC change "
                 "vs the unresized run)\n");
+    maybeWriteJson(opt, "ext_resize", exps, results, &perf);
     return 0;
 }

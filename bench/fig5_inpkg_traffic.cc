@@ -30,7 +30,8 @@ main(int argc, char **argv)
         for (auto &e : schemeSweep(opt.base, w))
             exps.push_back(std::move(e));
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table(
@@ -77,5 +78,6 @@ main(int argc, char **argv)
     std::printf("\nBanshee vs best baseline: %+.1f%% traffic "
                 "(paper: -35.8%%)\n",
                 100.0 * (bansheeAvg / bestBaseline - 1.0));
+    maybeWriteJson(opt, "fig5_inpkg_traffic", exps, results, &perf);
     return 0;
 }

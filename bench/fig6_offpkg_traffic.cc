@@ -28,7 +28,8 @@ main(int argc, char **argv)
         for (auto &e : schemeSweep(opt.base, w))
             exps.push_back(std::move(e));
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     const auto schemes = std::vector<std::string>{
@@ -62,5 +63,6 @@ main(int argc, char **argv)
                 100.0 * (banshee / sums["Unison"] - 1.0));
     std::printf("Banshee vs TDC     : %+.1f%%  (paper: -43.2%%)\n",
                 100.0 * (banshee / sums["TDC"] - 1.0));
+    maybeWriteJson(opt, "fig6_offpkg_traffic", exps, results, &perf);
     return 0;
 }

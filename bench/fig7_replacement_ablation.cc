@@ -57,7 +57,8 @@ main(int argc, char **argv)
             exps.push_back({w + "/" + v.label, c});
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"variant", "speedup", "inPkgBPI", "ctrBPI",
@@ -84,5 +85,6 @@ main(int argc, char **argv)
 
     std::printf("\nExpected shape: LRU << FBR-no-sample < Banshee; "
                 "no-sample counter traffic ~2x Banshee's.\n");
+    maybeWriteJson(opt, "fig7_replacement_ablation", exps, results, &perf);
     return 0;
 }

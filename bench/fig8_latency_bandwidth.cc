@@ -81,7 +81,8 @@ main(int argc, char **argv)
     for (std::uint32_t ch : channels)
         addPoint("bw" + std::to_string(ch), 1.0, ch);
 
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     auto printSweep = [&](const std::string &title,
@@ -114,5 +115,6 @@ main(int argc, char **argv)
                {"100%", "66%", "50%"});
     printSweep("c: DRAM cache bandwidth, relative to off-package",
                {"bw8", "bw4", "bw2"}, {"8X", "4X", "2X"});
+    maybeWriteJson(opt, "fig8_latency_bandwidth", exps, results, &perf);
     return 0;
 }

@@ -41,7 +41,8 @@ main(int argc, char **argv)
             exps.push_back({w + "/c" + fmt(coeff), c});
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"coeff", "missRate", "HitData", "MissData", "Tag",
@@ -70,5 +71,6 @@ main(int argc, char **argv)
     std::printf("\nExpected shape: miss rate rises slightly as the "
                 "coefficient drops; Counter traffic\nshrinks ~10x per "
                 "step and is negligible at <= 0.1.\n");
+    maybeWriteJson(opt, "fig9_sampling", exps, results, &perf);
     return 0;
 }

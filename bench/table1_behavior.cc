@@ -60,7 +60,8 @@ main(int argc, char **argv)
             exps.push_back({std::string("thrash/") + s.label, c});
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"scheme", "hit B/acc", "hitLat", "miss B/acc",
@@ -106,5 +107,6 @@ main(int argc, char **argv)
                 "TDC/HMA/Banshee 64B (0 extra bytes on top of data);\n"
                 "miss latency ~2x for probing schemes (Unison/Alloy), "
                 "~1x for PTE/TLB-mapped ones (TDC/HMA/Banshee).\n");
+    maybeWriteJson(opt, "table1_behavior", exps, results, &perf);
     return 0;
 }

@@ -41,7 +41,8 @@ main(int argc, char **argv)
             exps.push_back({w + "/u" + fmt(us, 0), c});
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     TablePrinter table({"cost (us)", "avg perf loss", "max perf loss",
@@ -70,5 +71,6 @@ main(int argc, char **argv)
 
     std::printf("\nPaper: 10us -> 0.11%% avg / 0.76%% max; "
                 "20us -> 0.18%% / 1.3%%; 40us -> 0.31%% / 2.4%%.\n");
+    maybeWriteJson(opt, "table5_pte_update", exps, results, &perf);
     return 0;
 }

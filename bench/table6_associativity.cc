@@ -35,7 +35,8 @@ main(int argc, char **argv)
             exps.push_back({w + "/w" + std::to_string(ways_), c});
         }
     }
-    const auto results = runExperiments(exps, opt.threads);
+    SweepPerf perf;
+    const auto results = runExperiments(exps, opt.threads, true, &perf);
     const ResultIndex index(exps, results);
 
     std::vector<std::string> headers = {"ways"};
@@ -55,5 +56,6 @@ main(int argc, char **argv)
 
     std::printf("\nPaper: 36.1%% / 32.5%% / 30.9%% / 30.7%% — "
                 "diminishing returns above 4 ways.\n");
+    maybeWriteJson(opt, "table6_associativity", exps, results, &perf);
     return 0;
 }

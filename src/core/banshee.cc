@@ -111,13 +111,13 @@ BansheeScheme::resolveMapping(PageNum page, const MappingInfo &carried,
 }
 
 void
-BansheeScheme::chargeMetadataRw(std::uint32_t setIdx, TrafficCat cat,
-                                TenantId tenant, PageNum spanPage)
+BansheeScheme::chargeMetadataRw(PageNum page, std::uint32_t setIdx,
+                                TrafficCat cat)
 {
-    inPkgAccess(metaAddr(setIdx), 32, 0, false, cat, nullptr, tenant,
-                spanPage);
-    inPkgAccess(metaAddr(setIdx), 32, 0, true, cat, nullptr, tenant,
-                spanPage);
+    inPkgAccess(pageAddr(page), metaAddr(setIdx), 32, 0, false, cat,
+                nullptr);
+    inPkgAccess(pageAddr(page), metaAddr(setIdx), 32, 0, true, cat,
+                nullptr);
 }
 
 void
@@ -125,35 +125,33 @@ BansheeScheme::demandFetch(LineAddr line, const MappingInfo &mapping,
                            CoreId core, MissDoneFn done)
 {
     const PageNum page = pageOfLine64(line);
-    const TenantId tenant = tenantOfAddr(lineToAddr(line));
+    const Addr addr = lineToAddr(line);
     const std::uint32_t setIdx = setOfMemo(page, core);
     bool tbHit = false;
     const PageMapping m = resolveMapping(page, mapping, true, &tbHit);
 
-    recordAccess(m.cached, tenant);
+    recordAccess(m.cached, addr);
     missRate_.record(!m.cached);
 
-    const PageNum spanPage = spanPageOf(page);
-    if (spanPage != kNoSpanPage) {
-        spans_->pageInstant(page, "access", ctx_.eq->now(),
-                            {{"tb", tbHit ? "hit" : "miss"},
-                             {"cache", m.cached ? "hit" : "miss"},
-                             {"tenant", static_cast<std::uint32_t>(tenant)}});
+    if (traced(page)) {
+        spans_->pageInstant(
+            page, "access", ctx_.eq->now(),
+            {{"tb", tbHit ? "hit" : "miss"},
+             {"cache", m.cached ? "hit" : "miss"},
+             {"tenant", static_cast<std::uint32_t>(tenantOfAddr(addr))}});
     }
 
     if (config_.policy == BansheeConfig::Policy::LruEveryMiss)
-        lruTouchAndReplace(page, setIdx, m.cached, m.way, tenant);
+        lruTouchAndReplace(page, setIdx, m.cached, m.way);
     else
-        fbrSampleAndReplace(page, setIdx, m.cached, m.way, tenant);
+        fbrSampleAndReplace(page, setIdx, m.cached, m.way);
 
     if (m.cached) {
-        const Addr dev = frameAddr(setIdx, m.way) +
-                         (lineToAddr(line) & (pageBytes_ - 1));
-        inPkgAccess(dev, kLineBytes, 0, false, TrafficCat::HitData,
-                    std::move(done), tenant, spanPage);
+        const Addr dev = frameAddr(setIdx, m.way) + (addr & (pageBytes_ - 1));
+        inPkgAccess(addr, dev, kLineBytes, 0, false, TrafficCat::HitData,
+                    std::move(done));
     } else {
-        offPkgRead64(line, TrafficCat::Demand, std::move(done), tenant,
-                     spanPage);
+        offPkgRead64(line, TrafficCat::Demand, std::move(done));
     }
 }
 
@@ -161,9 +159,8 @@ void
 BansheeScheme::demandWriteback(LineAddr line)
 {
     const PageNum page = pageOfLine64(line);
-    const TenantId tenant = tenantOfAddr(lineToAddr(line));
+    const Addr addr = lineToAddr(line);
     const std::uint32_t setIdx = setOf(page);
-    const PageNum spanPage = spanPageOf(page);
 
     PageMapping m;
     bool tagProbe = false;
@@ -175,33 +172,31 @@ BansheeScheme::demandWriteback(LineAddr line)
         // next eviction of this page avoids the probe (Section 3.3).
         ++statTagProbes_;
         tagProbe = true;
-        inPkgAccess(metaAddr(setIdx), 32, 32, false, TrafficCat::Tag,
-                    nullptr, tenant, spanPage);
+        inPkgAccess(addr, metaAddr(setIdx), 32, 32, false, TrafficCat::Tag,
+                    nullptr);
         m = ctx_.pageTable->currentMapping(page);
         tagBuffer_.insertClean(page, m);
     }
 
-    if (spanPage != kNoSpanPage) {
+    if (traced(page)) {
         spans_->pageInstant(page, "writeback", ctx_.eq->now(),
                             {{"dest", m.cached ? "inpkg" : "offpkg"},
                              {"tag_probe", tagProbe ? 1 : 0}});
     }
 
     if (m.cached) {
-        const Addr dev = frameAddr(setIdx, m.way) +
-                         (lineToAddr(line) & (pageBytes_ - 1));
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr,
-                    tenant, spanPage);
+        const Addr dev = frameAddr(setIdx, m.way) + (addr & (pageBytes_ - 1));
+        inPkgAccess(addr, dev, kLineBytes, 0, true, TrafficCat::HitData,
+                    nullptr);
         dir_.cached(setIdx, m.way).dirty = true;
     } else {
-        offPkgWrite64(line, TrafficCat::Writeback, tenant, spanPage);
+        offPkgWrite64(line, TrafficCat::Writeback);
     }
 }
 
 void
 BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
-                                   bool hit, std::uint8_t hitWay,
-                                   TenantId tenant)
+                                   bool hit, std::uint8_t hitWay)
 {
     // BATMAN bandwidth balancing: bypassed pages are not tracked or
     // cached (already-cached ones keep hitting and age out).
@@ -211,8 +206,7 @@ BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
         return;
 
     ++statSampled_;
-    const PageNum spanPage = spanPageOf(page);
-    chargeMetadataRw(setIdx, TrafficCat::Counter, tenant, spanPage);
+    chargeMetadataRw(page, setIdx, TrafficCat::Counter);
 
     if (hit) {
         // Algorithm 1 lines 5-6: increment; halve all on saturation.
@@ -233,14 +227,14 @@ BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
         if (candCount > victimCount + threshold_) {
             // "fbr_admit" records the decision; a tag-buffer-blocked
             // replacement still shows up as admit + repl_blocked.
-            if (spanPage != kNoSpanPage) {
+            if (traced(page)) {
                 spans_->pageInstant(page, "fbr_admit", ctx_.eq->now(),
                                     {{"cand", candCount},
                                      {"victim", victimCount},
                                      {"threshold", threshold_}});
             }
-            executeReplacement(page, setIdx, victimWay, tenant);
-        } else if (spanPage != kNoSpanPage) {
+            executeReplacement(page, setIdx, victimWay);
+        } else if (traced(page)) {
             spans_->pageInstant(page, "fbr_reject", ctx_.eq->now(),
                                 {{"cand", candCount},
                                  {"victim", victimCount},
@@ -269,13 +263,11 @@ BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
 
 void
 BansheeScheme::lruTouchAndReplace(PageNum page, std::uint32_t setIdx,
-                                  bool hit, std::uint8_t hitWay,
-                                  TenantId tenant)
+                                  bool hit, std::uint8_t hitWay)
 {
     // LRU bits live in the same tag rows: every access reads and
     // updates them — the bandwidth cost Unison pays (Table 1).
-    chargeMetadataRw(setIdx, TrafficCat::Counter, tenant,
-                     spanPageOf(page));
+    chargeMetadataRw(page, setIdx, TrafficCat::Counter);
 
     if (hit) {
         dir_.cached(setIdx, hitWay).lruStamp = lruStampCounter_++;
@@ -305,20 +297,20 @@ BansheeScheme::lruTouchAndReplace(PageNum page, std::uint32_t setIdx,
     slot0.tag = page;
     slot0.count = 1;
     slot0.valid = true;
-    executeReplacement(page, setIdx, victimWay, tenant);
+    executeReplacement(page, setIdx, victimWay);
     dir_.cached(setIdx, victimWay).lruStamp = lruStampCounter_++;
 }
 
 void
 BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
-                                  std::uint32_t way, TenantId tenant)
+                                  std::uint32_t way)
 {
     const FbrDirectory::CachedEntry &pre = dir_.cached(setIdx, way);
-    const PageNum spanPage = spanPageOf(page);
+    const bool pageTraced = traced(page);
     if (replacementsLocked_ || !tagBuffer_.canAcceptRemaps(2) ||
         !tagBuffer_.canInsertRemapPair(page, pre.valid, pre.tag)) {
         ++statReplacementsBlocked_;
-        if (spanPage != kNoSpanPage) {
+        if (pageTraced) {
             spans_->pageInstant(page, "repl_blocked", ctx_.eq->now(),
                                 {{"locked", replacementsLocked_ ? 1 : 0}});
         }
@@ -333,34 +325,30 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
     // Data movement: fetch the page from off-package DRAM and write
     // it into the frame; a dirty victim makes the round trip back,
     // charged to the victim page's own tenant.
-    offPkgBulk(pageAddr(page), pageBytes_, false, TrafficCat::Fill, nullptr,
-               tenant, spanPage);
-    inPkgBulk(frameAddr(setIdx, way), pageBytes_, true,
-              TrafficCat::Replacement, nullptr, tenant, spanPage);
+    offPkgBulk(pageAddr(page), pageBytes_, false, TrafficCat::Fill);
+    inPkgBulk(pageAddr(page), frameAddr(setIdx, way), pageBytes_, true,
+              TrafficCat::Replacement);
 
     const FbrDirectory::CachedEntry victim = dir_.promote(setIdx, way,
                                                           *slot);
     ++statInserts_;
-    if (spanPage != kNoSpanPage) {
-        spans_->residentBegin(page, ctx_.eq->now(),
-                              {{"set", setIdx},
-                               {"way", way},
-                               {"tenant", static_cast<std::uint32_t>(tenant)}});
+    if (pageTraced) {
+        spans_->residentBegin(
+            page, ctx_.eq->now(),
+            {{"set", setIdx},
+             {"way", way},
+             {"tenant", static_cast<std::uint32_t>(pageTenant(page))}});
     }
     if (victim.valid) {
         ++statEvictions_;
-        const PageNum victimSpan = spanPageOf(victim.tag);
         if (victim.dirty) {
             ++statDirtyEvictions_;
-            const TenantId victimTenant = pageTenant(victim.tag);
-            inPkgBulk(frameAddr(setIdx, way), pageBytes_, false,
-                      TrafficCat::Replacement, nullptr, victimTenant,
-                      victimSpan);
+            inPkgBulk(pageAddr(victim.tag), frameAddr(setIdx, way),
+                      pageBytes_, false, TrafficCat::Replacement);
             offPkgBulk(pageAddr(victim.tag), pageBytes_, true,
-                       TrafficCat::Writeback, nullptr, victimTenant,
-                       victimSpan);
+                       TrafficCat::Writeback);
         }
-        if (victimSpan != kNoSpanPage) {
+        if (traced(victim.tag)) {
             spans_->residentEnd(victim.tag, ctx_.eq->now(), "replaced",
                                 victim.dirty);
         }
@@ -430,15 +418,12 @@ BansheeScheme::evictFrame(std::uint32_t setIdx, std::uint32_t way)
     // A dirty page makes the round trip through the DRAM models so
     // migration competes with demand traffic for bus time; a clean
     // page is dropped for free (its off-package copy is current).
-    const PageNum spanPage = spanPageOf(page);
     if (wasDirty) {
-        const TenantId tenant = pageTenant(page);
-        inPkgBulk(frameAddr(setIdx, way), pageBytes_, false,
-                  TrafficCat::Migration, nullptr, tenant, spanPage);
-        offPkgBulk(pageAddr(page), pageBytes_, true, TrafficCat::Migration,
-                   nullptr, tenant, spanPage);
+        inPkgBulk(pageAddr(page), frameAddr(setIdx, way), pageBytes_, false,
+                  TrafficCat::Migration);
+        offPkgBulk(pageAddr(page), pageBytes_, true, TrafficCat::Migration);
     }
-    if (spanPage != kNoSpanPage)
+    if (traced(page))
         spans_->residentEnd(page, ctx_.eq->now(), "migration", wasDirty);
     dir_.invalidate(setIdx, way);
     ++statResizeEvictions_;

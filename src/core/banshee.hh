@@ -236,20 +236,19 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
 
     /** Algorithm 1: sampling, counter maintenance, replacement. */
     void fbrSampleAndReplace(PageNum page, std::uint32_t setIdx, bool hit,
-                             std::uint8_t hitWay, TenantId tenant);
+                             std::uint8_t hitWay);
 
     /** LRU ablation: touch on access, replace on every miss. */
     void lruTouchAndReplace(PageNum page, std::uint32_t setIdx, bool hit,
-                            std::uint8_t hitWay, TenantId tenant);
+                            std::uint8_t hitWay);
 
     /** Move @p page into (set, way); handles victim + tag buffer. */
     void executeReplacement(PageNum page, std::uint32_t setIdx,
-                            std::uint32_t way, TenantId tenant);
+                            std::uint32_t way);
 
-    /** Charge a 32 B metadata read + write pair. */
-    void chargeMetadataRw(std::uint32_t setIdx, TrafficCat cat,
-                          TenantId tenant,
-                          PageNum spanPage = kNoSpanPage);
+    /** Charge a 32 B metadata read + write pair for @p page's set. */
+    void chargeMetadataRw(PageNum page, std::uint32_t setIdx,
+                          TrafficCat cat);
 
     struct SetMemoEntry
     {

@@ -233,13 +233,12 @@ class DramModel
     }
 
     /**
-     * Move @p bytes starting at @p addr as a train of chunk requests
-     * on @p channel; @p done fires when the last chunk completes.
+     * Move @p bytes starting at @p req.addr as a train of chunk
+     * requests on @p channel, each a copy of @p req (its size aside);
+     * @p req.done fires once, when the last chunk completes.
      */
-    void bulkAccess(std::uint32_t channel, Addr addr, std::uint64_t bytes,
-                    bool isWrite, TrafficCat cat, DramDoneFn done,
-                    TenantId tenant = kNoTenant,
-                    PageNum spanPage = kNoSpanPage);
+    void bulkAccess(std::uint32_t channel, DramRequest req,
+                    std::uint64_t bytes);
 
     std::uint32_t numChannels() const { return channels_.size(); }
 

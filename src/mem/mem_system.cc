@@ -56,22 +56,16 @@ MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
     ++statFetches_;
     const Cycle issued = eq_.now();
     // Span tracing: tag the fetch with its (sampled) page so the
-    // completion closure can stitch an issue->complete span. The page
-    // number is at the journal's granularity, which matches the
-    // scheme's (System wires both from the same config).
-    PageJournal *spans =
-        (spans_ && spans_->sampledAddr(lineToAddr(line))) ? spans_
-                                                          : nullptr;
-    const PageNum spanPage =
-        spans ? (lineToAddr(line) >> spans->pageBits()) : 0;
+    // completion closure can stitch an issue->complete span, by the
+    // same rule that tags the scheme's DRAM requests.
+    const PageNum spanPage = spanPageOfAddr(spans_, lineToAddr(line));
     schemes_[mcOf(line)]->demandFetch(
         line, mapping, core,
-        [this, issued, spans, spanPage,
-         done = std::move(done)](Cycle when) {
+        [this, issued, spanPage, done = std::move(done)](Cycle when) {
             ++statFetchesCompleted_;
             statFetchLatencyTotal_ += when > issued ? when - issued : 0;
-            if (spans)
-                spans->fetchSpan(spanPage, issued, when);
+            if (spanPage != kNoSpanPage)
+                spans_->fetchSpan(spanPage, issued, when);
             if (done)
                 done(when);
         });

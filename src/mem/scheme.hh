@@ -51,6 +51,18 @@ struct SchemeContext
     std::uint64_t seed = 1;
 };
 
+/**
+ * Span tag of traffic serving byte address @p addr: its page at the
+ * journal's granularity when @p spans samples it, else kNoSpanPage.
+ * Shared by the schemes' DRAM requests and MemSystem's fetch spans.
+ */
+inline PageNum
+spanPageOfAddr(const PageJournal *spans, Addr addr)
+{
+    return (spans && spans->sampledAddr(addr)) ? addr >> spans->pageBits()
+                                               : kNoSpanPage;
+}
+
 class DramCacheScheme
 {
   public:
@@ -124,17 +136,19 @@ class DramCacheScheme
     }
 
   protected:
-    /** Record a demand access outcome in the common counters. */
+    /** Record a demand access outcome in the common counters, charged
+     *  to the tenant owning byte address @p owner. */
     void
-    recordAccess(bool hit, TenantId tenant = kNoTenant)
+    recordAccess(bool hit, Addr owner)
     {
+        const std::size_t bucket = tenantBucket(tenantOfAddr(owner));
         ++statAccesses_;
-        ++tenantAccesses_[tenantBucket(tenant)];
+        ++tenantAccesses_[bucket];
         if (hit) {
             ++statHits_;
         } else {
             ++statMisses_;
-            ++tenantMisses_[tenantBucket(tenant)];
+            ++tenantMisses_[bucket];
         }
     }
 
@@ -152,87 +166,85 @@ class DramCacheScheme
         return page / ctx_.numMcs;
     }
 
-    /**
-     * The span tag for traffic belonging to @p page: the page itself
-     * when tracing is on and the page is sampled, else kNoSpanPage.
-     * @p page is in the scheme's own page granularity.
-     */
-    PageNum
-    spanPageOf(PageNum page) const
+    /** Whether span tracing journals @p page (scheme granularity). */
+    bool
+    traced(PageNum page) const
     {
-        return (spans_ && spans_->sampledPage(page)) ? page : kNoSpanPage;
+        return spans_ && spans_->sampledPage(page);
+    }
+
+    /**
+     * The one attribution point for DRAM traffic: a request at
+     * device address @p addr that serves the data at byte address
+     * @p owner is charged to @p owner's tenant and tagged with
+     * @p owner's span page. The request has DramRequest's default
+     * size, one 64 B line; callers moving other sizes set it.
+     */
+    DramRequest
+    requestFor(Addr owner, Addr addr, bool isWrite, TrafficCat cat,
+               DramDoneFn done) const
+    {
+        DramRequest req;
+        req.addr = addr;
+        req.isWrite = isWrite;
+        req.cat = cat;
+        req.tenant = tenantOfAddr(owner);
+        req.spanPage = spanPageOfAddr(spans_, owner);
+        req.done = std::move(done);
+        return req;
     }
 
     /** 64 B read of @p line from off-package DRAM. */
     void
-    offPkgRead64(LineAddr line, TrafficCat cat, DramDoneFn done,
-                 TenantId tenant = kNoTenant,
-                 PageNum spanPage = kNoSpanPage)
+    offPkgRead64(LineAddr line, TrafficCat cat, DramDoneFn done)
     {
-        DramRequest req;
-        req.addr = lineToAddr(line);
-        req.bytes = kLineBytes;
-        req.isWrite = false;
-        req.cat = cat;
-        req.tenant = tenant;
-        req.spanPage = spanPage;
-        req.done = std::move(done);
-        ctx_.offPkg->access(offPkgChannel(line), std::move(req));
+        const Addr a = lineToAddr(line);
+        ctx_.offPkg->access(offPkgChannel(line),
+                            requestFor(a, a, false, cat, std::move(done)));
     }
 
     /** Posted 64 B write of @p line to off-package DRAM. */
     void
-    offPkgWrite64(LineAddr line, TrafficCat cat, TenantId tenant = kNoTenant,
-                  PageNum spanPage = kNoSpanPage)
+    offPkgWrite64(LineAddr line, TrafficCat cat)
     {
-        DramRequest req;
-        req.addr = lineToAddr(line);
-        req.bytes = kLineBytes;
-        req.isWrite = true;
-        req.cat = cat;
-        req.tenant = tenant;
-        req.spanPage = spanPage;
-        ctx_.offPkg->access(offPkgChannel(line), std::move(req));
+        const Addr a = lineToAddr(line);
+        ctx_.offPkg->access(offPkgChannel(line),
+                            requestFor(a, a, true, cat, nullptr));
     }
 
-    /** Access on this MC's in-package channel at a device address. */
+    /** Access on this MC's in-package channel at a device address,
+     *  serving the data at byte address @p owner. */
     void
-    inPkgAccess(Addr deviceAddr, std::uint32_t bytes, std::uint32_t tagBytes,
-                bool isWrite, TrafficCat cat, DramDoneFn done,
-                TenantId tenant = kNoTenant,
-                PageNum spanPage = kNoSpanPage)
+    inPkgAccess(Addr owner, Addr deviceAddr, std::uint32_t bytes,
+                std::uint32_t tagBytes, bool isWrite, TrafficCat cat,
+                DramDoneFn done)
     {
-        DramRequest req;
-        req.addr = deviceAddr;
+        DramRequest req =
+            requestFor(owner, deviceAddr, isWrite, cat, std::move(done));
         req.bytes = bytes;
         req.tagBytes = tagBytes;
-        req.isWrite = isWrite;
-        req.cat = cat;
-        req.tenant = tenant;
-        req.spanPage = spanPage;
-        req.done = std::move(done);
         ctx_.inPkg->access(ctx_.mcId, std::move(req));
     }
 
-    /** Bulk (page-sized) movement on the in-package channel. */
+    /** Bulk (page-sized) movement on the in-package channel, serving
+     *  the data at byte address @p owner. */
     void
-    inPkgBulk(Addr deviceAddr, std::uint64_t bytes, bool isWrite,
-              TrafficCat cat, DramDoneFn done = nullptr,
-              TenantId tenant = kNoTenant, PageNum spanPage = kNoSpanPage)
+    inPkgBulk(Addr owner, Addr deviceAddr, std::uint64_t bytes, bool isWrite,
+              TrafficCat cat)
     {
-        ctx_.inPkg->bulkAccess(ctx_.mcId, deviceAddr, bytes, isWrite, cat,
-                               std::move(done), tenant, spanPage);
+        ctx_.inPkg->bulkAccess(
+            ctx_.mcId, requestFor(owner, deviceAddr, isWrite, cat, nullptr),
+            bytes);
     }
 
     /** Bulk movement of a page's worth of off-package data. */
     void
     offPkgBulk(Addr byteAddr, std::uint64_t bytes, bool isWrite,
-               TrafficCat cat, DramDoneFn done = nullptr,
-               TenantId tenant = kNoTenant, PageNum spanPage = kNoSpanPage)
+               TrafficCat cat)
     {
-        ctx_.offPkg->bulkAccess(offPkgChannel(lineOf(byteAddr)), byteAddr,
-                                bytes, isWrite, cat, std::move(done), tenant,
-                                spanPage);
+        ctx_.offPkg->bulkAccess(
+            offPkgChannel(lineOf(byteAddr)),
+            requestFor(byteAddr, byteAddr, isWrite, cat, nullptr), bytes);
     }
 
     std::uint32_t

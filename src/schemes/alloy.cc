@@ -22,20 +22,21 @@ void
 AlloyScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
                          MissDoneFn done)
 {
+    const Addr addr = lineToAddr(line);
     const std::uint64_t set = setOf(line);
     const bool hit = (state_[set] & 1) && tags_[set] == line;
-    recordAccess(hit);
+    recordAccess(hit, addr);
 
     if (hit) {
         // One 96 B TAD read: data plus the tag burst.
-        inPkgAccess(tadAddr(set), 96, 32, false, TrafficCat::HitData,
+        inPkgAccess(addr, tadAddr(set), 96, 32, false, TrafficCat::HitData,
                     std::move(done));
         return;
     }
 
     // Miss: the probe must complete before the off-package fetch
     // (the parallel speculative fetch is disabled, Section 5.1.1).
-    inPkgAccess(tadAddr(set), 96, 32, false, TrafficCat::MissData,
+    inPkgAccess(addr, tadAddr(set), 96, 32, false, TrafficCat::MissData,
                 [this, line, done = std::move(done)](Cycle) mutable {
                     offPkgRead64(line, TrafficCat::Demand, std::move(done));
                 });
@@ -61,8 +62,8 @@ AlloyScheme::maybeFill(LineAddr line, std::uint64_t set)
         offPkgWrite64(tags_[set], TrafficCat::Writeback);
     }
     // Fill writes data + tag as one TAD.
-    inPkgAccess(tadAddr(set), 96, 32, true, TrafficCat::Replacement,
-                nullptr);
+    inPkgAccess(lineToAddr(line), tadAddr(set), 96, 32, true,
+                TrafficCat::Replacement, nullptr);
     tags_[set] = line;
     state_[set] = 1; // valid, clean
 }
@@ -70,14 +71,15 @@ AlloyScheme::maybeFill(LineAddr line, std::uint64_t set)
 void
 AlloyScheme::demandWriteback(LineAddr line)
 {
+    const Addr addr = lineToAddr(line);
     const std::uint64_t set = setOf(line);
     // BEAR writeback probe: a 32 B tag read decides hit/miss.
     ++statWritebackProbes_;
-    inPkgAccess(tadAddr(set), 32, 32, false, TrafficCat::Tag, nullptr);
+    inPkgAccess(addr, tadAddr(set), 32, 32, false, TrafficCat::Tag, nullptr);
 
     const bool hit = (state_[set] & 1) && tags_[set] == line;
     if (hit) {
-        inPkgAccess(tadAddr(set), 96, 32, true, TrafficCat::HitData,
+        inPkgAccess(addr, tadAddr(set), 96, 32, true, TrafficCat::HitData,
                     nullptr);
         state_[set] |= 2; // dirty
     } else {

@@ -29,14 +29,15 @@ void
 HmaScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
                        MissDoneFn done)
 {
+    const Addr addr = lineToAddr(line);
     const PageNum page = pageOfLine(line);
     ++counts_[page];
     auto it = resident_.find(page);
-    recordAccess(it != resident_.end());
+    recordAccess(it != resident_.end(), addr);
     if (it != resident_.end()) {
-        const Addr dev = frameAddr(it->second.frameIdx) +
-                         (lineToAddr(line) & (kPageBytes - 1));
-        inPkgAccess(dev, kLineBytes, 0, false, TrafficCat::HitData,
+        const Addr dev =
+            frameAddr(it->second.frameIdx) + (addr & (kPageBytes - 1));
+        inPkgAccess(addr, dev, kLineBytes, 0, false, TrafficCat::HitData,
                     std::move(done));
     } else {
         offPkgRead64(line, TrafficCat::Demand, std::move(done));
@@ -50,9 +51,11 @@ HmaScheme::demandWriteback(LineAddr line)
     auto it = resident_.find(page);
     if (it != resident_.end()) {
         it->second.dirty = true;
-        const Addr dev = frameAddr(it->second.frameIdx) +
-                         (lineToAddr(line) & (kPageBytes - 1));
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
+        const Addr addr = lineToAddr(line);
+        const Addr dev =
+            frameAddr(it->second.frameIdx) + (addr & (kPageBytes - 1));
+        inPkgAccess(addr, dev, kLineBytes, 0, true, TrafficCat::HitData,
+                    nullptr);
     } else {
         offPkgWrite64(line, TrafficCat::Writeback);
     }
@@ -89,10 +92,10 @@ HmaScheme::runEpoch()
             continue;
         }
         if (it->second.dirty) {
-            inPkgBulk(frameAddr(it->second.frameIdx), kPageBytes, false,
-                      TrafficCat::Replacement);
-            offPkgBulk(static_cast<Addr>(it->first) * kPageBytes,
-                       kPageBytes, true, TrafficCat::Writeback);
+            const Addr pageAddr = static_cast<Addr>(it->first) * kPageBytes;
+            inPkgBulk(pageAddr, frameAddr(it->second.frameIdx), kPageBytes,
+                      false, TrafficCat::Replacement);
+            offPkgBulk(pageAddr, kPageBytes, true, TrafficCat::Writeback);
         }
         freeFrames_.push_back(it->second.frameIdx);
         it = resident_.erase(it);
@@ -106,9 +109,9 @@ HmaScheme::runEpoch()
         sim_assert(!freeFrames_.empty(), "HMA frame accounting error");
         const std::uint64_t frameIdx = freeFrames_.back();
         freeFrames_.pop_back();
-        offPkgBulk(static_cast<Addr>(kv.first) * kPageBytes, kPageBytes,
-                   false, TrafficCat::Fill);
-        inPkgBulk(frameAddr(frameIdx), kPageBytes, true,
+        const Addr pageAddr = static_cast<Addr>(kv.first) * kPageBytes;
+        offPkgBulk(pageAddr, kPageBytes, false, TrafficCat::Fill);
+        inPkgBulk(pageAddr, frameAddr(frameIdx), kPageBytes, true,
                   TrafficCat::Replacement);
         resident_[kv.first] = Resident{frameIdx, false};
         ++moved;

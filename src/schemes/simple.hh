@@ -24,7 +24,7 @@ class NoCacheScheme : public DramCacheScheme
     demandFetch(LineAddr line, const MappingInfo &, CoreId,
                 MissDoneFn done) override
     {
-        recordAccess(false);
+        recordAccess(false, lineToAddr(line));
         offPkgRead64(line, TrafficCat::Demand, std::move(done));
     }
 
@@ -53,15 +53,15 @@ class CacheOnlyScheme : public DramCacheScheme
     demandFetch(LineAddr line, const MappingInfo &, CoreId,
                 MissDoneFn done) override
     {
-        recordAccess(true);
-        inPkgAccess(deviceAddr(line), kLineBytes, 0, false,
+        recordAccess(true, lineToAddr(line));
+        inPkgAccess(lineToAddr(line), deviceAddr(line), kLineBytes, 0, false,
                     TrafficCat::HitData, std::move(done));
     }
 
     void
     demandWriteback(LineAddr line) override
     {
-        inPkgAccess(deviceAddr(line), kLineBytes, 0, true,
+        inPkgAccess(lineToAddr(line), deviceAddr(line), kLineBytes, 0, true,
                     TrafficCat::HitData, nullptr);
     }
 

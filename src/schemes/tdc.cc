@@ -24,14 +24,14 @@ TdcScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
     const PageNum page = pageOfLine(line);
     const std::uint32_t lineIdx = lineInPage(line);
     auto it = frameOf_.find(page);
-    recordAccess(it != frameOf_.end());
+    recordAccess(it != frameOf_.end(), lineToAddr(line));
 
     if (it != frameOf_.end()) {
         it->second.residency.touch(lineIdx, false);
         const Addr dev = frameAddr(it->second.frameIdx) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, kLineBytes, 0, false, TrafficCat::HitData,
-                    std::move(done));
+        inPkgAccess(lineToAddr(line), dev, kLineBytes, 0, false,
+                    TrafficCat::HitData, std::move(done));
         return;
     }
 
@@ -55,10 +55,11 @@ TdcScheme::evictOne()
         it->second.residency.dirtyGroups() * kFootprintGroupLines;
     if (dirtyLines > 0) {
         statVictimDirtyLines_ += dirtyLines;
-        inPkgBulk(frameAddr(it->second.frameIdx),
+        const Addr victimAddr = static_cast<Addr>(victim) * kPageBytes;
+        inPkgBulk(victimAddr, frameAddr(it->second.frameIdx),
                   static_cast<std::uint64_t>(dirtyLines) * kLineBytes, false,
                   TrafficCat::Replacement);
-        offPkgBulk(static_cast<Addr>(victim) * kPageBytes,
+        offPkgBulk(victimAddr,
                    static_cast<std::uint64_t>(dirtyLines) * kLineBytes, true,
                    TrafficCat::Writeback);
     }
@@ -77,10 +78,10 @@ TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
 
     const std::uint32_t fillLines = footprint_.predictLines();
     statFillLines_ += fillLines;
-    offPkgBulk(static_cast<Addr>(page) * kPageBytes,
-               static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
-               TrafficCat::Fill);
-    inPkgBulk(frameAddr(frameIdx),
+    const Addr pageAddr = static_cast<Addr>(page) * kPageBytes;
+    offPkgBulk(pageAddr, static_cast<std::uint64_t>(fillLines) * kLineBytes,
+               false, TrafficCat::Fill);
+    inPkgBulk(pageAddr, frameAddr(frameIdx),
               static_cast<std::uint64_t>(fillLines) * kLineBytes, true,
               TrafficCat::Replacement);
 
@@ -101,7 +102,8 @@ TdcScheme::demandWriteback(LineAddr line)
         it->second.residency.touch(lineIdx, true);
         const Addr dev = frameAddr(it->second.frameIdx) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
+        inPkgAccess(lineToAddr(line), dev, kLineBytes, 0, true,
+                    TrafficCat::HitData, nullptr);
     } else {
         offPkgWrite64(line, TrafficCat::Writeback);
     }

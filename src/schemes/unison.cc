@@ -35,11 +35,12 @@ void
 UnisonScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
                           MissDoneFn done)
 {
+    const Addr addr = lineToAddr(line);
     const PageNum page = pageOfLine(line);
     const std::uint32_t setIdx = setOf(page);
     const std::uint32_t lineIdx = lineInPage(line);
     WayEntry *entry = findWay(setIdx, page);
-    recordAccess(entry != nullptr);
+    recordAccess(entry != nullptr, addr);
 
     if (entry) {
         // Perfect way prediction: tags + predicted way data together
@@ -51,15 +52,15 @@ UnisonScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
                            config_.ways]);
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, 96, 32, false, TrafficCat::HitData,
+        inPkgAccess(addr, dev, 96, 32, false, TrafficCat::HitData,
                     std::move(done));
-        inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
+        inPkgAccess(addr, tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
                     nullptr);
         return;
     }
 
     // Miss: speculative data + tag read first, then the demand fetch.
-    inPkgAccess(tagRowAddr(setIdx), 96, 32, false, TrafficCat::MissData,
+    inPkgAccess(addr, tagRowAddr(setIdx), 96, 32, false, TrafficCat::MissData,
                 [this, line, done = std::move(done)](Cycle) mutable {
                     offPkgRead64(line, TrafficCat::Demand, std::move(done));
                 });
@@ -94,12 +95,13 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
             victim.residency.dirtyGroups() * kFootprintGroupLines;
         if (dirtyLines > 0) {
             statVictimDirtyLines_ += dirtyLines;
-            inPkgBulk(frameAddr(setIdx, victimWay),
-                      static_cast<std::uint64_t>(dirtyLines) * kLineBytes,
-                      false, TrafficCat::Replacement);
-            offPkgBulk(static_cast<Addr>(victim.page) * kPageBytes,
-                       static_cast<std::uint64_t>(dirtyLines) * kLineBytes,
-                       true, TrafficCat::Writeback);
+            const Addr victimAddr =
+                static_cast<Addr>(victim.page) * kPageBytes;
+            const std::uint64_t bytes =
+                static_cast<std::uint64_t>(dirtyLines) * kLineBytes;
+            inPkgBulk(victimAddr, frameAddr(setIdx, victimWay), bytes, false,
+                      TrafficCat::Replacement);
+            offPkgBulk(victimAddr, bytes, true, TrafficCat::Writeback);
         }
     }
 
@@ -107,14 +109,15 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
     // blocks touched per residency, 4-line granularity).
     const std::uint32_t fillLines = footprint_.predictLines();
     statFillLines_ += fillLines;
-    offPkgBulk(static_cast<Addr>(page) * kPageBytes,
-               static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
-               TrafficCat::Fill);
-    inPkgBulk(frameAddr(setIdx, victimWay),
+    const Addr pageAddr = static_cast<Addr>(page) * kPageBytes;
+    offPkgBulk(pageAddr, static_cast<std::uint64_t>(fillLines) * kLineBytes,
+               false, TrafficCat::Fill);
+    inPkgBulk(pageAddr, frameAddr(setIdx, victimWay),
               static_cast<std::uint64_t>(fillLines) * kLineBytes, true,
               TrafficCat::Replacement);
     // Tag update for the new page.
-    inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag, nullptr);
+    inPkgAccess(pageAddr, tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
+                nullptr);
 
     victim.page = page;
     victim.valid = true;
@@ -126,12 +129,14 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
 void
 UnisonScheme::demandWriteback(LineAddr line)
 {
+    const Addr addr = lineToAddr(line);
     const PageNum page = pageOfLine(line);
     const std::uint32_t setIdx = setOf(page);
     const std::uint32_t lineIdx = lineInPage(line);
 
     // Tag read to decide hit/miss on the eviction path.
-    inPkgAccess(tagRowAddr(setIdx), 32, 32, false, TrafficCat::Tag, nullptr);
+    inPkgAccess(addr, tagRowAddr(setIdx), 32, 32, false, TrafficCat::Tag,
+                nullptr);
 
     WayEntry *entry = findWay(setIdx, page);
     if (entry) {
@@ -141,8 +146,9 @@ UnisonScheme::demandWriteback(LineAddr line)
                            config_.ways]);
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
-        inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
+        inPkgAccess(addr, dev, kLineBytes, 0, true, TrafficCat::HitData,
+                    nullptr);
+        inPkgAccess(addr, tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
                     nullptr);
     } else {
         offPkgWrite64(line, TrafficCat::Writeback);

@@ -161,6 +161,8 @@ struct SystemConfig
      * Enable the QoS channel scheduler on the in-package device:
      * per-tenant bandwidth credits on an epoch clock plus age-bounded
      * FR-FCFS and a bounded write-drain age (see dram/qos_sched.hh).
+     * Applies under every scheme with tenants: each scheme charges
+     * its requests to the tenant owning the address they serve.
      * Off by default — seed-default runs stay byte-identical.
      */
     SystemConfig &withDramQos(Cycle epochCycles = 8192,

@@ -189,8 +189,10 @@ TEST_F(DramTest, BulkAccessMovesAllBytesAndFiresOnce)
 {
     DramModel dram(eq, DramTiming{}, 1, "d");
     int fired = 0;
-    dram.bulkAccess(0, 0, 4096, false, TrafficCat::Fill,
-                    [&fired](Cycle) { ++fired; });
+    DramRequest req;
+    req.cat = TrafficCat::Fill;
+    req.done = [&fired](Cycle) { ++fired; };
+    dram.bulkAccess(0, std::move(req), 4096);
     eq.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(dram.traffic().bytes(TrafficCat::Fill), 4096u);

@@ -11,8 +11,10 @@
  *    active-standby equals the device total that RunResult reports;
  *  - traffic conservation: per-category bytes and per-tenant bytes
  *    independently sum to the device's total bytes;
- *  - run accounting: per-tenant instructions partition the total,
- *    and miss counts never exceed access counts anywhere;
+ *  - run accounting: per-tenant instructions and DRAM cache
+ *    accesses partition the totals (with tenants, no traffic or
+ *    access goes untagged under any scheme), and miss counts never
+ *    exceed access counts anywhere;
  *  - residency consistency: after every drain has completed, each
  *    scheme's directory, page table and frame state agree
  *    (verifyResidencyConsistent), and scheduled resizes actually
@@ -104,6 +106,17 @@ sweepCases()
         cases.push_back({"Banshee_tenants_powercap", c, 4});
     }
 
+    // Tenants sharing the cache under every other scheme: each scheme
+    // must charge all of its traffic and accesses to a tenant too.
+    for (const SchemeKind k :
+         {SchemeKind::Alloy, SchemeKind::Unison, SchemeKind::Tdc,
+          SchemeKind::CacheOnly, SchemeKind::NoCache}) {
+        SystemConfig c = base().withScheme(k);
+        c.withTenants({{"a", "mcf", 1.0, 4}, {"b", "omnetpp", 1.0, 4}},
+                      /*partition=*/false);
+        cases.push_back({std::string(schemeKindName(k)) + "_tenants", c, 0});
+    }
+
     return cases;
 }
 
@@ -131,6 +144,10 @@ checkDevice(const char *which, DramModel &dram,
     for (std::uint32_t t = 0; t < numTenants; ++t)
         tenantBytes += traffic.tenantBytes(static_cast<TenantId>(t));
     EXPECT_EQ(tenantBytes, traffic.totalBytes()) << which;
+    // With tenants, every byte serves some tenant's address.
+    if (numTenants > 0) {
+        EXPECT_EQ(traffic.tenantBytes(kNoTenant), 0u) << which;
+    }
 
     // Energy: per-category and per-tenant dynamic splits agree, and
     // the component sum is the device total.
@@ -191,7 +208,7 @@ TEST_P(InvariantSweep, AccountingIdentitiesHoldAfterDrain)
             acc += t.dramCacheAccesses;
         }
         EXPECT_EQ(instr, r.instructions);
-        EXPECT_LE(acc, r.dramCacheAccesses);
+        EXPECT_EQ(acc, r.dramCacheAccesses);
     }
 
     // Residency consistency once every drain has completed, and

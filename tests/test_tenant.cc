@@ -324,5 +324,26 @@ TEST(TenantEndToEnd, ArbiterConvergesOwnershipAfterAQuotaChange)
     sys.resizeController()->verifyResidencyConsistent();
 }
 
+TEST(TenantEndToEnd, QosCreditsMeterEverySchemesTraffic)
+{
+    // Unison has no tenant-aware machinery of its own: its in-package
+    // requests reach the QoS credits only because every scheme tags
+    // each request with the tenant owning the address it serves.
+    SystemConfig c = tenantBase().withScheme(SchemeKind::Unison);
+    c.withTenants({{"resident", "qos_resident", 3.0, 4},
+                   {"churn", "qos_churn", 1.0, 4}},
+                  /*partition=*/false);
+    c.withDramQos();
+    const RunResult r = System(c).run();
+
+    ASSERT_TRUE(r.qosSchedEnabled);
+    ASSERT_EQ(r.tenants.size(), 2u);
+    for (const TenantRunStats &t : r.tenants) {
+        EXPECT_GT(t.qosGrants, 0u) << t.name;
+        EXPECT_GT(t.inPkgBytes, 0u) << t.name;
+        EXPECT_GT(t.dramCacheAccesses, 0u) << t.name;
+    }
+}
+
 } // namespace
 } // namespace banshee
