@@ -124,6 +124,36 @@ BM_DramChannelThroughput(benchmark::State &state)
 BENCHMARK(BM_DramChannelThroughput);
 
 static void
+BM_DramChannelThroughputQos(benchmark::State &state)
+{
+    // The same burst through the QoS scheduler: credit-aware FR-FCFS
+    // over a 64-entry window, with shares set so credits can bind.
+    std::array<double, kMaxTenants> shares{};
+    shares[0] = 0.5;
+    shares[1] = 0.25;
+    for (auto _ : state) {
+        EventQueue eq;
+        DramModel dram(eq, DramTiming{}, 1, "bm");
+        DramQosConfig qc;
+        qc.enabled = true;
+        qc.window = 64;
+        dram.setQosConfig(qc);
+        dram.setQosShares(shares);
+        Rng rng(5);
+        for (int i = 0; i < 1000; ++i) {
+            DramRequest req;
+            req.addr = rng.nextBelow(1 << 28) & ~63ull;
+            req.bytes = 64;
+            req.tenant = static_cast<TenantId>(i % 2);
+            dram.access(0, std::move(req));
+        }
+        eq.run();
+        benchmark::DoNotOptimize(eq.now());
+    }
+}
+BENCHMARK(BM_DramChannelThroughputQos);
+
+static void
 BM_ZipfPatternNext(benchmark::State &state)
 {
     ZipfPagePattern pattern(0, 1 << 18, 0.85, 2, 0.1, 3);

@@ -16,13 +16,20 @@ DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
                          TrafficStats &traffic, DramPowerModel &power,
                          StatSet &stats, std::string name)
     : eq_(eq), timing_(timing), traffic_(traffic), power_(power),
-      name_(std::move(name)), banks_(timing.numBanks),
+      name_(std::move(name)),
+      casCycles_(timing.toCore(timing.scaledCAS())),
+      rcdCycles_(timing.toCore(timing.scaledRCD())),
+      rpCycles_(timing.toCore(timing.scaledRP())),
+      rasCycles_(timing.toCore(timing.scaledRAS())),
+      banks_(timing.numBanks),
       kickEvent_([this] { kick(); }),
       statReqs_(stats.counter(name_ + ".requests")),
       statRowHits_(stats.counter(name_ + ".rowHits")),
       statRowConflicts_(stats.counter(name_ + ".rowConflicts")),
       statTotalLatency_(stats.counter(name_ + ".totalLatencyCycles"))
 {
+    sim_assert(timing.numBanks > 0 && timing.numBanks <= 256,
+               "bank count %u does not fit a queue key", timing.numBanks);
 }
 
 void
@@ -35,11 +42,23 @@ DramChannel::push(DramRequest req)
         else
             telem_->readOccupancy.record(readQ_.size());
     }
-    Pending p{std::move(req), eq_.now(), seq_++};
-    if (p.req.isWrite)
-        writeQ_.push_back(std::move(p));
-    else
-        readQ_.push_back(std::move(p));
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    const std::uint64_t row = req.addr / timing_.rowBytes;
+    const QueueKey key{row, slot,
+                       static_cast<std::uint8_t>(row % banks_.size()),
+                       req.tenant};
+    (req.isWrite ? writeQ_ : readQ_).push_back(key);
+    Pending &p = pool_[slot];
+    p.req = std::move(req);
+    p.arrival = eq_.now();
+    p.qosMark = 0;
     armKick(eq_.now());
 }
 
@@ -72,37 +91,31 @@ DramChannel::armKick(Cycle when)
 }
 
 Cycle
-DramChannel::bankReadyCycle(const Pending &p) const
+DramChannel::bankReadyCycle(const QueueKey &k, Cycle now) const
 {
     // Mirrors issue(): earliest cycle this request's data could be on
     // the bus given only its bank's state. CAS commands pipeline: the
     // bank accepts the next column access one burst after the
     // previous one issued, so back-to-back row hits are bus-limited,
     // not tCAS-limited.
-    const std::uint64_t row = p.req.addr / timing_.rowBytes;
-    const Bank &bank = banks_[row % banks_.size()];
-    const Cycle start = std::max(eq_.now(), bank.readyCycle);
+    const Bank &bank = banks_[k.bank];
+    const Cycle start = std::max(now, bank.readyCycle);
 
-    if (bank.openRow == row) {
+    if (bank.openRow == k.row) {
         // Row-buffer hit: only the column access.
-        return start + timing_.toCore(timing_.scaledCAS());
+        return start + casCycles_;
     }
     if (bank.openRow == ~0ull) {
         // Bank closed: activate then access.
-        return start + timing_.toCore(timing_.scaledRCD() +
-                                      timing_.scaledCAS());
+        return start + rcdCycles_ + casCycles_;
     }
     // Conflict: precharge (respecting tRAS) + activate + access.
-    const Cycle rasDone =
-        bank.lastActStart + timing_.toCore(timing_.scaledRAS());
-    const Cycle preStart = std::max(start, rasDone);
-    return preStart + timing_.toCore(timing_.scaledRP() +
-                                     timing_.scaledRCD() +
-                                     timing_.scaledCAS());
+    const Cycle preStart = std::max(start, bank.lastActStart + rasCycles_);
+    return preStart + rpCycles_ + rcdCycles_ + casCycles_;
 }
 
 bool
-DramChannel::selectNext(Pending &out)
+DramChannel::selectNext(QueueKey &out)
 {
     if (qos_.enabled)
         return selectNextQos(out);
@@ -123,23 +136,24 @@ DramChannel::selectNext(Pending &out)
         drainingWrites_ = false;
     }
 
-    std::deque<Pending> &q =
+    std::deque<QueueKey> &q =
         (drainingWrites_ && !writeQ_.empty()) ? writeQ_ : readQ_;
     if (q.empty())
         return false;
 
     // FR-FCFS: earliest possible bus time wins; FCFS tie-break.
+    const Cycle now = eq_.now();
     std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0]);
+    Cycle bestReady = bankReadyCycle(q[0], now);
     const std::size_t window = std::min<std::size_t>(q.size(), 16);
     for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i]);
+        const Cycle r = bankReadyCycle(q[i], now);
         if (r < bestReady) {
             bestReady = r;
             best = i;
         }
     }
-    out = std::move(q[best]);
+    out = q[best];
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(best));
     return true;
 }
@@ -199,7 +213,7 @@ DramChannel::qosCharge(const Pending &p)
 }
 
 bool
-DramChannel::selectNextQos(Pending &out)
+DramChannel::selectNextQos(QueueKey &out)
 {
     const Cycle now = eq_.now();
     qosRefill(now);
@@ -210,10 +224,10 @@ DramChannel::selectNextQos(Pending &out)
     // read stream forever.
     const bool writeOverAge =
         qos_.writeAgeCap > 0 && !writeQ_.empty() &&
-        now - writeQ_.front().arrival > qos_.writeAgeCap;
+        now - arrivalOf(writeQ_.front()) > qos_.writeAgeCap;
     const bool readOverAge =
         qos_.readAgeCap > 0 && !readQ_.empty() &&
-        now - readQ_.front().arrival > qos_.readAgeCap;
+        now - arrivalOf(readQ_.front()) > qos_.readAgeCap;
     const std::size_t drainHigh =
         qos_.writeDrainHigh > 0 ? qos_.writeDrainHigh : kWriteDrainHigh;
     const std::size_t drainLow =
@@ -236,7 +250,7 @@ DramChannel::selectNextQos(Pending &out)
     // both sides stay bounded.
     const bool readPreempts =
         drainingWrites_ && readOverAge && !writeOverAge;
-    std::deque<Pending> &q =
+    std::deque<QueueKey> &q =
         (drainingWrites_ && !writeQ_.empty() && !readPreempts)
             ? writeQ_
             : readQ_;
@@ -247,11 +261,12 @@ DramChannel::selectNextQos(Pending &out)
     // push order) beats any row hit once its wait exceeds the cap.
     const Cycle ageCap = &q == &writeQ_ ? qos_.writeAgeCap
                                         : qos_.readAgeCap;
-    if (ageCap > 0 && now - q.front().arrival > ageCap) {
-        out = std::move(q.front());
+    if (ageCap > 0 && now - arrivalOf(q.front()) > ageCap) {
+        out = q.front();
         q.pop_front();
-        out.qosMark = kQosAged;
-        qosCharge(out);
+        Pending &p = pool_[out.slot];
+        p.qosMark = kQosAged;
+        qosCharge(p);
         return true;
     }
 
@@ -262,11 +277,11 @@ DramChannel::selectNextQos(Pending &out)
     const std::size_t window = std::min<std::size_t>(
         q.size(), std::max<std::uint32_t>(qos_.window, 1));
     std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0]);
+    Cycle bestReady = bankReadyCycle(q[0], now);
     std::size_t bestElig = qosEligible(q[0]) ? 0 : window; // window = none
     Cycle bestEligReady = bestReady;
     for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i]);
+        const Cycle r = bankReadyCycle(q[i], now);
         if (r < bestReady) {
             bestReady = r;
             best = i;
@@ -280,49 +295,48 @@ DramChannel::selectNextQos(Pending &out)
     if (pick != best) {
         // Credit arbitration bypassed the bandwidth-optimal request:
         // its tenant exhausted this epoch's entitlement.
-        Pending &bypassed = q[best];
+        Pending &bypassed = pool_[q[best].slot];
         bypassed.qosMark = kQosDeferred;
         traffic_.addQosDefer(bypassed.req.tenant);
         if (telem_)
             telem_->qosDeferAge.record(now - bypassed.arrival);
     }
-    out = std::move(q[pick]);
+    out = q[pick];
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
-    qosCharge(out);
+    qosCharge(pool_[out.slot]);
     return true;
 }
 
 void
-DramChannel::issue(Pending p)
+DramChannel::issue(const QueueKey &k)
 {
-    const std::uint64_t row = p.req.addr / timing_.rowBytes;
-    Bank &bank = banks_[row % banks_.size()];
+    Pending &p = pool_[k.slot];
+    Bank &bank = banks_[k.bank];
     const Cycle start = std::max(eq_.now(), bank.readyCycle);
 
     Cycle casTime;
-    if (bank.openRow == row) {
+    if (bank.openRow == k.row) {
         casTime = start;
         ++statRowHits_;
     } else if (bank.openRow == ~0ull) {
-        casTime = start + timing_.toCore(timing_.scaledRCD());
+        casTime = start + rcdCycles_;
         bank.lastActStart = start;
-        bank.openRow = row;
+        bank.openRow = k.row;
         power_.onActivate(p.req.cat, p.req.tenant);
     } else {
-        const Cycle rasDone =
-            bank.lastActStart + timing_.toCore(timing_.scaledRAS());
-        const Cycle preStart = std::max(start, rasDone);
-        const Cycle actStart = preStart + timing_.toCore(timing_.scaledRP());
-        casTime = actStart + timing_.toCore(timing_.scaledRCD());
+        const Cycle preStart =
+            std::max(start, bank.lastActStart + rasCycles_);
+        const Cycle actStart = preStart + rpCycles_;
+        casTime = actStart + rcdCycles_;
         bank.lastActStart = actStart;
-        bank.openRow = row;
+        bank.openRow = k.row;
         ++statRowConflicts_;
         power_.onActivate(p.req.cat, p.req.tenant);
     }
     power_.onBurst(p.req.bytes, p.req.tagBytes, p.req.isWrite, p.req.cat,
                    p.req.tenant);
 
-    const Cycle dataReady = casTime + timing_.toCore(timing_.scaledCAS());
+    const Cycle dataReady = casTime + casCycles_;
     const Cycle transfer =
         timing_.toCore(p.req.bytes / timing_.busBytesPerCycle);
     const Cycle busStart = std::max(busFree_, dataReady);
@@ -366,6 +380,7 @@ DramChannel::issue(Pending p)
         // node with no wrapper closure.
         eq_.schedule(complete, std::move(p.req.done));
     }
+    freeSlots_.push_back(k.slot);
 }
 
 void
@@ -378,12 +393,12 @@ DramChannel::kick()
         eq_.now() + timing_.toCore(kReserveAheadDramCycles);
     bool issuedAny = false;
     while (busFree_ <= horizon) {
-        Pending p;
-        if (!selectNext(p)) {
+        QueueKey k{};
+        if (!selectNext(k)) {
             lastNoopKickCycle_ = issuedAny ? ~0ull : eq_.now();
             return;
         }
-        issue(std::move(p));
+        issue(k);
         issuedAny = true;
     }
     // Remember no-op rounds so armKick can collapse same-cycle

@@ -11,6 +11,14 @@
  * activate) of later requests overlaps the data transfer of earlier
  * ones, so the model pipelines across banks like real devices.
  *
+ * Everything the scheduler scans is resolved once, when a request
+ * arrives: its row and bank go into a 16-byte queue key, and the
+ * latency-scaled bank timings are channel constants. The request
+ * itself (payload, arrival cycle, QoS mark) waits in a slot pool and
+ * never moves; the read and write queues hold only keys, so each pick
+ * compares bank state against compact keys and erasing a picked key
+ * shifts 16-byte entries.
+ *
  * Large transfers must be chopped by the caller (schemes move pages
  * as a train of chunk requests); a single request may move at most
  * kMaxRequestBytes so the bus is never monopolized.
@@ -104,15 +112,29 @@ class DramChannel
     void resetStats() { busBusyCycles_ = 0; }
 
   private:
+    /** A queued request's payload: lives in one pool slot from push()
+     *  to issue() and is never moved while it waits. */
     struct Pending
     {
         DramRequest req;
-        Cycle arrival;
-        std::uint64_t seq;
+        Cycle arrival = 0;
         /** QoS annotation for span tracing: how scheduling treated
          *  this request (0 none, kQosAged, kQosDeferred). */
         std::uint8_t qosMark = 0;
     };
+
+    /** What the scheduler scans: a queued request's row and bank,
+     *  resolved at push(), its tenant for credit checks, and the pool
+     *  slot holding the rest. Rows stay 64-bit (device rows exceed
+     *  2^32 on large address spaces). */
+    struct QueueKey
+    {
+        std::uint64_t row;
+        std::uint32_t slot;
+        std::uint8_t bank;
+        TenantId tenant;
+    };
+    static_assert(sizeof(QueueKey) == 16, "queue keys must stay compact");
 
     static constexpr std::uint8_t kQosAged = 1;
     static constexpr std::uint8_t kQosDeferred = 2;
@@ -131,19 +153,24 @@ class DramChannel
     void kick();
 
     /**
-     * Earliest cycle the data of @p p could appear on the bus if
-     * issued now, considering only its bank (not the bus).
+     * Earliest cycle the data of @p k could appear on the bus if
+     * issued at @p now, considering only its bank (not the bus).
      */
-    Cycle bankReadyCycle(const Pending &p) const;
+    Cycle bankReadyCycle(const QueueKey &k, Cycle now) const;
 
-    /** Issue one request: update bank/bus state, schedule completion. */
-    void issue(Pending p);
+    /** Issue one request: update bank/bus state, schedule completion,
+     *  and release its pool slot. */
+    void issue(const QueueKey &k);
 
-    /** Pick the best eligible request; returns false if none. */
-    bool selectNext(Pending &out);
+    /** Pick the best eligible request and remove its key from its
+     *  queue; returns false if none. */
+    bool selectNext(QueueKey &out);
 
     /** The QoS-gated pick: credit arbitration + age bounds. */
-    bool selectNextQos(Pending &out);
+    bool selectNextQos(QueueKey &out);
+
+    /** Cycle the request behind @p k was pushed. */
+    Cycle arrivalOf(const QueueKey &k) const { return pool_[k.slot].arrival; }
 
     /** Lazy credit replenish on the epoch clock (no extra events, so
      *  enabling the scheduler never perturbs event ordering). */
@@ -152,14 +179,14 @@ class DramChannel
     /** Charge an issued request to its tenant's credit + counters. */
     void qosCharge(const Pending &p);
 
-    /** Is @p p issuable under credit arbitration right now?
+    /** Is @p k issuable under credit arbitration right now?
      *  Untagged traffic (and any out-of-range id) is always exempt:
      *  it has no entitlement to charge. */
     bool
-    qosEligible(const Pending &p) const
+    qosEligible(const QueueKey &k) const
     {
-        return !qosSharesSet_ || p.req.tenant >= kMaxTenants ||
-               qosCredit_[p.req.tenant] > 0;
+        return !qosSharesSet_ || k.tenant >= kMaxTenants ||
+               qosCredit_[k.tenant] > 0;
     }
 
     EventQueue &eq_;
@@ -171,9 +198,21 @@ class DramChannel
     std::uint32_t spanTrack_ = 0;
     std::string name_;
 
+    /** Bank timings in core cycles, latency scale applied. */
+    const Cycle casCycles_;
+    const Cycle rcdCycles_;
+    const Cycle rpCycles_;
+    const Cycle rasCycles_;
+
     std::vector<Bank> banks_;
-    std::deque<Pending> readQ_;
-    std::deque<Pending> writeQ_;
+    /** Keys of queued requests in arrival (push) order. */
+    std::deque<QueueKey> readQ_;
+    std::deque<QueueKey> writeQ_;
+    /** Payload slots of queued requests. A deque grows without
+     *  relocating existing slots, so peak memory stays at one copy
+     *  through migration bursts; freed slots are reused LIFO. */
+    std::deque<Pending> pool_;
+    std::vector<std::uint32_t> freeSlots_;
 
     Cycle busFree_ = 0;          ///< cycle the data bus becomes free
     Cycle busBusyCycles_ = 0;
@@ -184,7 +223,6 @@ class DramChannel
     /** Cycle of the last kick that issued nothing (~0 = none): the
      *  guard for collapsing repeated same-cycle no-op kicks. */
     Cycle lastNoopKickCycle_ = ~0ull;
-    std::uint64_t seq_ = 0;
 
     /** QoS scheduler state (inert until qos_.enabled). */
     DramQosConfig qos_;

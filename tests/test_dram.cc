@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 #include "dram/dram_model.hh"
 
 namespace banshee {
@@ -487,6 +488,115 @@ TEST_F(DramTest, QosDrainWatermarkOverridesSplitTheDrain)
     };
     EXPECT_EQ(runBatch(false), 0);
     EXPECT_EQ(runBatch(true), 24 - 8);
+}
+
+// ------------------------------------------------------------------
+// Golden scheduler trace: pins the exact pick order of both scheduler
+// paths. Any change in which request the channel issues next moves
+// some completion cycle and fails these hashes.
+// ------------------------------------------------------------------
+
+struct GoldenRun
+{
+    std::uint64_t hash = 0; ///< FNV-1a over completion cycles, by request
+    std::size_t completed = 0;
+    std::array<std::uint64_t, 3> grants{}; ///< tenants 0, 1, untagged
+    std::array<std::uint64_t, 3> defers{};
+};
+
+GoldenRun
+runGoldenMix(bool qosOn)
+{
+    constexpr int kRequests = 2048;
+    DramTiming t;
+    t.numBanks = 16;
+    t.rowBytes = 2048;
+    t.latencyScale = 0.66;
+    EventQueue eq;
+    DramModel dram(eq, t, 1, "golden");
+    if (qosOn) {
+        DramQosConfig qc;
+        qc.enabled = true;
+        qc.window = 64;
+        qc.epochCycles = 4096;
+        qc.readAgeCap = 1024;
+        qc.writeAgeCap = 4096;
+        dram.setQosConfig(qc);
+        std::array<double, kMaxTenants> shares{};
+        shares[0] = 0.6;
+        shares[1] = 0.2;
+        dram.setQosShares(shares);
+    }
+
+    // Arrivals average one request per 13.5 core cycles against a
+    // mean transfer of 15 (120 B): the queues fill, writes drain in
+    // batches, and with QoS both age caps and the credits bind
+    // (zeroing either cap changes the hash; defers show the credits).
+    Rng rng(2017);
+    std::vector<Cycle> done(kRequests, 0);
+    std::size_t completed = 0;
+    Cycle arrival = 0;
+    for (int i = 0; i < kRequests; ++i) {
+        arrival += rng.nextBelow(28);
+        Addr addr = 0;
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 4) // a few hot rows: row hits
+            addr = rng.nextBelow(8) * t.rowBytes + rng.nextBelow(32) * 64;
+        else if (kind < 8) // scattered within 1 GB: misses, conflicts
+            addr = rng.nextBelow(1ull << 30) & ~63ull;
+        else if (kind < 9) // above 2^45: rows above 2^32
+            addr = ((1ull << 45) + rng.nextBelow(1ull << 40)) & ~63ull;
+        else // near the top of the space: rows around 2^42
+            addr = ((1ull << 53) + rng.nextBelow(1ull << 20)) & ~63ull;
+        DramRequest req;
+        req.addr = addr;
+        req.bytes = 32u << rng.nextBelow(4); // 32..256 B
+        req.isWrite = rng.nextBelow(3) == 0;
+        const std::uint64_t who = rng.nextBelow(5);
+        req.tenant = who < 2 ? 0 : who < 4 ? 1 : kNoTenant;
+        req.done = [&done, &completed, i](Cycle when) {
+            done[i] = when;
+            ++completed;
+        };
+        eq.schedule(arrival, [&dram, r = std::move(req)]() mutable {
+            dram.access(0, std::move(r));
+        });
+    }
+    eq.run();
+
+    GoldenRun out;
+    out.hash = 0xcbf29ce484222325ull;
+    for (Cycle c : done) {
+        for (int b = 0; b < 8; ++b) {
+            out.hash ^= (c >> (8 * b)) & 0xff;
+            out.hash *= 0x100000001b3ull;
+        }
+    }
+    out.completed = completed;
+    const std::array<TenantId, 3> tenants{0, 1, kNoTenant};
+    for (std::size_t k = 0; k < tenants.size(); ++k) {
+        out.grants[k] = dram.traffic().qosGrants(tenants[k]);
+        out.defers[k] = dram.traffic().qosDefers(tenants[k]);
+    }
+    return out;
+}
+
+TEST(DramGoldenTest, StockSchedulerPickOrderIsPinned)
+{
+    const GoldenRun r = runGoldenMix(false);
+    EXPECT_EQ(r.completed, 2048u);
+    EXPECT_EQ(r.hash, 0x34ca1ad530620484ull);
+    EXPECT_EQ(r.grants, (std::array<std::uint64_t, 3>{0, 0, 0}));
+    EXPECT_EQ(r.defers, (std::array<std::uint64_t, 3>{0, 0, 0}));
+}
+
+TEST(DramGoldenTest, QosSchedulerPickOrderIsPinned)
+{
+    const GoldenRun r = runGoldenMix(true);
+    EXPECT_EQ(r.completed, 2048u);
+    EXPECT_EQ(r.hash, 0x025052f9a7d1a841ull);
+    EXPECT_EQ(r.grants, (std::array<std::uint64_t, 3>{815, 815, 418}));
+    EXPECT_EQ(r.defers, (std::array<std::uint64_t, 3>{0, 268, 0}));
 }
 
 } // namespace
