@@ -1,16 +1,22 @@
 /**
  * @file
- * Shared plumbing for the bench binaries: run-length presets, CLI
- * parsing (--quick / --full / --workloads a,b,c / --json path /
- * --telemetry path / --verbose), and result lookup.
+ * BenchRun runs every experiment bench. A bench main builds one from
+ * its argv, binary name and banner, states its experiment grid, calls
+ * run() once per sweep (a later sweep may be built from an earlier
+ * one's results), prints its report from the returned Sweep, and returns
+ * finish(). BenchRun owns everything else: the shared flags
+ * (--quick / --full / --workloads a,b,c / --threads N / --json path /
+ * --host-perf / --telemetry path / --spans[=N] / --verbose), the
+ * banner, the sweeps, their host perf, the --json output and the exit
+ * code.
  */
 
 #ifndef BANSHEE_BENCH_BENCH_UTIL_HH
 #define BANSHEE_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <map>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,9 @@ struct BenchOptions
     /** True when --workloads was given (benches with their own
      *  defaults only override the list when the user did not). */
     bool workloadsExplicit = false;
+    /** True when --quick was given (benches that set their own run
+     *  lengths size them from this). */
+    bool quick = false;
     unsigned threads = 0;
     /** Empty = no JSON output. */
     std::string jsonPath;
@@ -55,20 +64,19 @@ struct BenchOptions
  *                    with sample shift N (default 6 = 1/64 of pages)
  *   --verbose / -v   raise log verbosity (also: BANSHEE_LOG env var)
  *
- * @p benchName names the binary in usage/error messages (argv[0] when
- * empty) and the default --spans output directory.
+ * @p prog names the binary in usage/error messages and the
+ * default --spans output directory.
  *
  * @p extraFlags lets a bench register additional boolean switches
  * (e.g. ext_tenant's --sched): each pair maps a flag spelling to the
  * bool it sets. Extra flags appear in the usage line.
  */
 inline BenchOptions
-parseArgs(int argc, char **argv, const std::string &benchName = "",
+parseArgs(int argc, char **argv, const std::string &prog,
           std::initializer_list<std::pair<const char *, bool *>>
-              extraFlags = {})
+              extraFlags)
 {
     BenchOptions opt;
-    const std::string prog = benchName.empty() ? argv[0] : benchName;
     auto usage = [&prog, &extraFlags](const std::string &why) {
         std::fprintf(stderr, "%s: %s\n", prog.c_str(), why.c_str());
         std::string extra;
@@ -96,6 +104,7 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         if (matchExtra(arg)) {
             // handled
         } else if (arg == "--quick") {
+            opt.quick = true;
             opt.base.warmupInstrPerCore /= 4;
             opt.base.measureInstrPerCore /= 4;
         } else if (arg == "--full") {
@@ -170,53 +179,134 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
     return opt;
 }
 
-/** Emit BENCH_*.json when --json was given (shared by every bench).
- *  Pass the sweep's SweepPerf to honor --host-perf; host timings are
- *  stamped only when that flag was given. */
-inline void
-maybeWriteJson(const BenchOptions &opt, const std::string &bench,
-               const std::vector<Experiment> &exps,
-               const std::vector<RunResult> &results,
-               const SweepPerf *perf = nullptr)
+/** One sweep: its experiments, their results in the same order, and
+ *  its host cost. */
+struct Sweep
 {
-    if (opt.jsonPath.empty())
-        return;
-    std::vector<std::string> labels;
-    labels.reserve(exps.size());
-    for (const auto &e : exps)
-        labels.push_back(e.label);
-    writeResultsJson(opt.jsonPath, bench, labels, results,
-                     opt.hostPerf ? perf : nullptr);
-    std::printf("\n[json] wrote %zu results to %s\n", results.size(),
-                opt.jsonPath.c_str());
-}
+    std::vector<Experiment> exps;
+    std::vector<RunResult> results;
+    SweepPerf perf;
 
-/** Index results of a sweep by (workload, scheme-label suffix). */
-class ResultIndex
-{
-  public:
-    ResultIndex(const std::vector<Experiment> &exps,
-                const std::vector<RunResult> &results)
-    {
-        for (std::size_t i = 0; i < exps.size(); ++i)
-            byLabel_[exps[i].label] = &results[i];
-    }
-
+    /** The result labelled "<workload>/<scheme>". */
     const RunResult &
     at(const std::string &workload, const std::string &scheme) const
     {
-        return *byLabel_.at(workload + "/" + scheme);
+        const std::string label = workload + "/" + scheme;
+        for (std::size_t i = 0; i < exps.size(); ++i) {
+            if (exps[i].label == label)
+                return results[i];
+        }
+        panic("no result labelled '%s'", label.c_str());
+    }
+};
+
+class BenchRun
+{
+  public:
+    /**
+     * Parse the shared flags (plus @p extraFlags, boolean switches
+     * such as ext_tenant's --sched) and print the banner. @p name is
+     * the binary's name: it appears in usage errors, the default
+     * --spans directory and the JSON "bench" field.
+     */
+    BenchRun(int argc, char **argv, const std::string &name,
+             const std::string &title, const std::string &paperRef,
+             std::initializer_list<std::pair<const char *, bool *>>
+                 extraFlags = {})
+        : opt(parseArgs(argc, argv, name, extraFlags)), name_(name)
+    {
+        printBanner(title, paperRef);
     }
 
-    bool
-    has(const std::string &workload, const std::string &scheme) const
+    /** The parsed flags. A bench may adjust base and workloads before
+     *  building its grid. */
+    BenchOptions opt;
+
+    /** Run one sweep at --threads and keep it for --json. The returned
+     *  reference stays valid for the BenchRun's lifetime. */
+    const Sweep &
+    run(std::vector<Experiment> exps)
     {
-        return byLabel_.count(workload + "/" + scheme) > 0;
+        Sweep &sweep = sweeps_.emplace_back();
+        sweep.exps = std::move(exps);
+        sweep.results = runSweep(sweep.exps, opt.threads, &sweep.perf);
+        return sweep;
+    }
+
+    /** Run @p exps again at @p threads for host timing only: the
+     *  repeat is not written to --json. */
+    static Sweep
+    rerun(const std::vector<Experiment> &exps, unsigned threads)
+    {
+        Sweep sweep{exps, {}, {}};
+        sweep.results = runSweep(exps, threads, &sweep.perf);
+        return sweep;
+    }
+
+    /**
+     * Write every run() sweep, in order, to --json when given (with
+     * each result's host perf under --host-perf) and return the exit
+     * code: 0 when @p gatesPass, else 1.
+     */
+    int
+    finish(bool gatesPass = true) const
+    {
+        if (!opt.jsonPath.empty()) {
+            std::vector<std::string> labels;
+            std::vector<RunResult> results;
+            SweepPerf perf;
+            for (const Sweep &sweep : sweeps_) {
+                for (const Experiment &e : sweep.exps)
+                    labels.push_back(e.label);
+                results.insert(results.end(), sweep.results.begin(),
+                               sweep.results.end());
+                perf.wallSeconds += sweep.perf.wallSeconds;
+                perf.experiments.insert(perf.experiments.end(),
+                                        sweep.perf.experiments.begin(),
+                                        sweep.perf.experiments.end());
+            }
+            writeResultsJson(opt.jsonPath, name_, labels, results,
+                             opt.hostPerf ? &perf : nullptr);
+            std::printf("\n[json] wrote %zu results to %s\n",
+                        results.size(), opt.jsonPath.c_str());
+        }
+        return gatesPass ? 0 : 1;
     }
 
   private:
-    std::map<std::string, const RunResult *> byLabel_;
+    std::string name_;
+    std::deque<Sweep> sweeps_; ///< a deque: run() hands out references
 };
+
+/** @p base running @p workload under @p scheme. */
+inline SystemConfig
+configFor(const SystemConfig &base, const std::string &workload,
+          SchemeKind scheme)
+{
+    SystemConfig c = base;
+    c.workload = workload;
+    c.withScheme(scheme);
+    return c;
+}
+
+/** schemeSweep() over every workload of @p opt, keeping only the
+ *  @p schemes labels when given (in schemeSweep's order). */
+inline std::vector<Experiment>
+schemeGrid(const BenchOptions &opt,
+           const std::vector<std::string> &schemes = {})
+{
+    std::vector<Experiment> exps;
+    for (const auto &w : opt.workloads) {
+        for (auto &e : schemeSweep(opt.base, w)) {
+            const std::string scheme = e.label.substr(w.size() + 1);
+            if (schemes.empty() ||
+                std::find(schemes.begin(), schemes.end(), scheme) !=
+                    schemes.end())
+                exps.push_back(std::move(e));
+        }
+    }
+    return exps;
+}
 
 /** The scheme labels used across Figures 4-6, in the paper's order. */
 inline std::vector<std::string>

@@ -22,35 +22,27 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "ext_bandwidth_balance");
-    printBanner("Section 5.4.2: BATMAN bandwidth balancing on Alloy "
-                "and Banshee",
-                "Banshee (MICRO'17), Section 5.4.2");
+    BenchRun bench(argc, argv, "ext_bandwidth_balance",
+                   "Section 5.4.2: BATMAN bandwidth balancing on Alloy "
+                   "and Banshee",
+                   "Banshee (MICRO'17), Section 5.4.2");
+    const BenchOptions &opt = bench.opt;
 
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
         for (const bool batman : {false, true}) {
             const std::string suffix = batman ? "+BW" : "";
-            {
-                SystemConfig c = opt.base;
-                c.workload = w;
-                c.withScheme(SchemeKind::Alloy);
-                c.withAlloyFillProb(0.1);
-                c.enableBatman = batman;
-                exps.push_back({w + "/Alloy" + suffix, c});
-            }
-            {
-                SystemConfig c = opt.base;
-                c.workload = w;
-                c.withScheme(SchemeKind::Banshee);
-                c.enableBatman = batman;
-                exps.push_back({w + "/Banshee" + suffix, c});
-            }
+            SystemConfig alloy = configFor(opt.base, w, SchemeKind::Alloy);
+            alloy.withAlloyFillProb(0.1);
+            alloy.enableBatman = batman;
+            exps.push_back({w + "/Alloy" + suffix, alloy});
+            SystemConfig banshee =
+                configFor(opt.base, w, SchemeKind::Banshee);
+            banshee.enableBatman = batman;
+            exps.push_back({w + "/Banshee" + suffix, banshee});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"scheme", "avg gain", "max gain"}, 14);
     table.printHeader();
@@ -58,7 +50,7 @@ main(int argc, char **argv)
     double bansheeBw = 0.0, alloyBw = 0.0;
     for (const std::string scheme : {"Alloy", "Banshee"}) {
         double sum = 0.0, best = -1.0;
-        std::vector<double> balanced, plain;
+        std::vector<double> balanced;
         for (const auto &w : opt.workloads) {
             const RunResult &off = index.at(w, scheme);
             const RunResult &on = index.at(w, scheme + "+BW");
@@ -67,7 +59,6 @@ main(int argc, char **argv)
             sum += gain;
             best = std::max(best, gain);
             balanced.push_back(1.0 / on.cycles);
-            plain.push_back(1.0 / off.cycles);
         }
         const double n = static_cast<double>(opt.workloads.size());
         table.printRow({scheme, fmt(100.0 * sum / n, 1) + "%",
@@ -84,6 +75,5 @@ main(int argc, char **argv)
                 100.0 * (bansheeBw / alloyBw - 1.0));
     std::printf("Paper: Alloy +5%% avg (max +24%%); Banshee +1%% avg "
                 "(max +11%%).\n");
-    maybeWriteJson(opt, "ext_bandwidth_balance", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

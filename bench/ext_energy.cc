@@ -31,28 +31,17 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "ext_energy");
+    BenchRun bench(argc, argv, "ext_energy",
+                   "Extension: DRAM energy per scheme + power-cap-driven "
+                   "cache resizing",
+                   "Banshee (MICRO'17) energy claim; Chang et al. "
+                   "(resizing); Bakhshalipour et al. (energy)");
+    BenchOptions &opt = bench.opt;
     if (!opt.workloadsExplicit)
         opt.workloads = {"omnetpp", "mcf", "milc", "gcc"};
-    printBanner("Extension: DRAM energy per scheme + power-cap-driven "
-                "cache resizing",
-                "Banshee (MICRO'17) energy claim; Chang et al. "
-                "(resizing); Bakhshalipour et al. (energy)");
 
-    const std::vector<std::string> schemes = {"Unison", "TDC", "Alloy 1",
-                                              "Banshee"};
-    std::vector<Experiment> exps;
-    for (const auto &w : opt.workloads) {
-        for (const auto &e : schemeSweep(opt.base, w)) {
-            for (const auto &s : schemes) {
-                if (e.label == w + "/" + s)
-                    exps.push_back(e);
-            }
-        }
-    }
-    SweepPerf perf;
-    auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index =
+        bench.run(schemeGrid(opt, {"Unison", "TDC", "Alloy 1", "Banshee"}));
 
     // ------------------------------------------------ Part 1: energy
     TablePrinter table({"workload", "Unison", "TDC", "Alloy 1", "Banshee",
@@ -97,14 +86,11 @@ main(int argc, char **argv)
     std::vector<Experiment> capExps;
     for (const auto &w : opt.workloads) {
         const RunResult &un = index.at(w, "Banshee");
-        SystemConfig c = opt.base;
-        c.workload = w;
-        c.withScheme(SchemeKind::Banshee);
+        SystemConfig c = configFor(opt.base, w, SchemeKind::Banshee);
         c.withPowerCap(0.75 * un.inPkgAvgPowerWatts, /*minSlices=*/6);
         capExps.push_back(Experiment{w + "/PowerCap", c});
     }
-    auto capResults = runExperiments(capExps, opt.threads);
-    const ResultIndex capIndex(capExps, capResults);
+    const Sweep &capIndex = bench.run(std::move(capExps));
 
     std::printf("\nPower-capped Banshee vs uncapped (cap = 75%% of the "
                 "measured in-package power;\nshrink executed by the "
@@ -139,11 +125,5 @@ main(int argc, char **argv)
     std::printf("\nPower cap lowers background+refresh energy on %d/%zu "
                 "workloads; geomean IPC ratio %.3f\n",
                 bgWins, opt.workloads.size(), geomean(ipcRatios));
-
-    for (std::size_t i = 0; i < capExps.size(); ++i) {
-        exps.push_back(std::move(capExps[i]));
-        results.push_back(capResults[i]);
-    }
-    maybeWriteJson(opt, "ext_energy", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

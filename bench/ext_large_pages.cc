@@ -20,23 +20,17 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "ext_large_pages");
-    bool defaultList = true;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--workloads")
-            defaultList = false;
-    if (defaultList)
+    BenchRun bench(argc, argv, "ext_large_pages",
+                   "Section 5.4.1: 2 MB large pages vs 4 KB pages "
+                   "(Banshee, graph suite, perfect TLBs)",
+                   "Banshee (MICRO'17), Section 5.4.1");
+    BenchOptions &opt = bench.opt;
+    if (!opt.workloadsExplicit)
         opt.workloads = WorkloadFactory::graphNames();
-
-    printBanner("Section 5.4.1: 2 MB large pages vs 4 KB pages "
-                "(Banshee, graph suite, perfect TLBs)",
-                "Banshee (MICRO'17), Section 5.4.1");
 
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
-        SystemConfig small = opt.base;
-        small.workload = w;
-        small.withScheme(SchemeKind::Banshee);
+        SystemConfig small = configFor(opt.base, w, SchemeKind::Banshee);
         small.tlb.missLatency = 0; // perfect TLB (both configs)
         // 2 MB promotions move 512x the data of a 4 KB one; in the
         // paper they amortize over 100 G instructions. Give both
@@ -57,9 +51,7 @@ main(int argc, char **argv)
         large.mem.mcStripeBits = kLargePageBits;
         exps.push_back({w + "/2M", large});
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"workload", "4K cycles", "2M cycles", "2M gain",
                         "4K miss%", "2M miss%"},
@@ -81,6 +73,5 @@ main(int argc, char **argv)
     table.printRule();
     std::printf("average 2M-page gain: %+.1f%%  (paper: +3.6%%)\n",
                 100.0 * (geomean(gains) - 1.0));
-    maybeWriteJson(opt, "ext_large_pages", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

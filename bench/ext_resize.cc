@@ -24,27 +24,15 @@
 using namespace banshee;
 using namespace banshee::benchutil;
 
-namespace {
-
-std::uint64_t
-offPkgTotal(const RunResult &r)
-{
-    std::uint64_t t = 0;
-    for (std::size_t cat = 0; cat < kNumTrafficCats; ++cat)
-        t += r.offPkgBytes[cat];
-    return t;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "ext_resize");
-    printBanner("Extension: dynamic cache resizing — consistent hash "
-                "vs flush",
-                "Chang et al. (consistent-hash DRAM cache resizing), "
-                "on Banshee (MICRO'17)");
+    BenchRun bench(argc, argv, "ext_resize",
+                   "Extension: dynamic cache resizing — consistent hash "
+                   "vs flush",
+                   "Chang et al. (consistent-hash DRAM cache resizing), "
+                   "on Banshee (MICRO'17)");
+    const BenchOptions &opt = bench.opt;
 
     // Resize knobs: 8 slices, shrink to 6 two epochs into the
     // measured phase, drained at a demand-friendly trickle.
@@ -61,9 +49,7 @@ main(int argc, char **argv)
         for (auto &e : resizeSweep(base, w, kEpoch, kTarget))
             exps.push_back(std::move(e));
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"workload", "off-BPI none", "off-BPI CH",
                         "off-BPI flush", "mig CH", "mig flush",
@@ -79,7 +65,7 @@ main(int argc, char **argv)
         const RunResult &flush = index.at(w, "Flush-resize");
         chBpi.push_back(ch.offPkgTotalBpi());
         flushBpi.push_back(flush.offPkgTotalBpi());
-        if (offPkgTotal(ch) < offPkgTotal(flush))
+        if (chBpi.back() < flushBpi.back())
             ++chWins;
         table.printRow(
             {w, fmt(none.offPkgTotalBpi()), fmt(ch.offPkgTotalBpi()),
@@ -100,6 +86,5 @@ main(int argc, char **argv)
                 "measured phase containing the shrink;\n mig = pages "
                 "drained by the migration engine; dIPC = IPC change "
                 "vs the unresized run)\n");
-    maybeWriteJson(opt, "ext_resize", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -25,7 +25,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hh"
@@ -131,44 +130,29 @@ printPerfTable(const std::vector<Experiment> &exps,
 int
 main(int argc, char **argv)
 {
-    // Peel off our own flag before the shared parser (it rejects
-    // unknown arguments).
     bool compareSerial = false;
-    bool quick = false;
-    std::vector<char *> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--compare-serial") == 0) {
-            compareSerial = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true; // also forwarded to the shared parser
-        args.push_back(argv[i]);
-    }
-    BenchOptions opt =
-        parseArgs(static_cast<int>(args.size()), args.data(),
-                  "ext_scale");
-    printBanner("Extension: sweep throughput at consolidation scale "
-                "(64 cores, 16 tenants)",
-                "Banshee (MICRO'17) evaluation grids; sharded sweep "
-                "runner");
+    BenchRun bench(argc, argv, "ext_scale",
+                   "Extension: sweep throughput at consolidation scale "
+                   "(64 cores, 16 tenants)",
+                   "Banshee (MICRO'17) evaluation grids; sharded sweep "
+                   "runner",
+                   {{"--compare-serial", &compareSerial}});
+    BenchOptions &opt = bench.opt;
 
     opt.base.numCores = 64;
     // Keep one experiment's work at sweep-friendly size: the grid is
     // 10 systems of 64 cores each, so per-core budgets a fraction of
     // the default already total ~10x an ext_tenant run. --quick is a
     // smoke budget sized so a sanitizer build finishes in CI minutes.
-    opt.base.warmupInstrPerCore = quick ? 20'000 : 150'000;
-    opt.base.measureInstrPerCore = quick ? 40'000 : 300'000;
+    opt.base.warmupInstrPerCore = opt.quick ? 20'000 : 150'000;
+    opt.base.measureInstrPerCore = opt.quick ? 40'000 : 300'000;
     opt.base.autoWarmup = false;
     opt.base.footprintScale = 1.0 / 4.0;
 
-    const std::vector<Experiment> exps = buildGrid(opt.base);
-
-    SweepPerf perf;
-    std::vector<RunResult> results =
-        runExperiments(exps, opt.threads, true, &perf);
+    const Sweep &grid = bench.run(buildGrid(opt.base));
+    const std::vector<Experiment> &exps = grid.exps;
+    const std::vector<RunResult> &results = grid.results;
+    const SweepPerf &perf = grid.perf;
 
     std::printf("\nHost cost per experiment (%s):\n",
                 opt.threads == 1 ? "serial" : "sharded across threads");
@@ -189,12 +173,12 @@ main(int argc, char **argv)
     if (compareSerial) {
         std::printf("\nRe-running the grid serially (--threads 1) for "
                     "the speedup ratio...\n");
-        SweepPerf serial;
-        std::vector<RunResult> serialResults =
-            runExperiments(exps, 1, true, &serial);
+        const Sweep serialRun = bench.rerun(exps, 1);
+        const SweepPerf &serial = serialRun.perf;
         for (std::size_t i = 0; i < results.size(); ++i) {
-            sim_assert(serialResults[i].ipc == results[i].ipc &&
-                           serialResults[i].cycles == results[i].cycles,
+            const RunResult &s = serialRun.results[i];
+            sim_assert(s.ipc == results[i].ipc &&
+                           s.cycles == results[i].cycles,
                        "experiment '%s' diverged across thread counts",
                        exps[i].label.c_str());
         }
@@ -210,6 +194,5 @@ main(int argc, char **argv)
                     speedup);
     }
 
-    maybeWriteJson(opt, "ext_scale", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

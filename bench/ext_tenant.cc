@@ -70,12 +70,13 @@ int
 main(int argc, char **argv)
 {
     bool sched = false;
-    BenchOptions opt =
-        parseArgs(argc, argv, "ext_tenant", {{"--sched", &sched}});
-    printBanner("Extension: multi-tenant DRAM-cache partitioning + QoS "
-                "arbitration",
-                "Banshee (MICRO'17) software-managed placement; Chang "
-                "et al. (consistent hashing)");
+    BenchRun bench(argc, argv, "ext_tenant",
+                   "Extension: multi-tenant DRAM-cache partitioning + QoS "
+                   "arbitration",
+                   "Banshee (MICRO'17) software-managed placement; Chang "
+                   "et al. (consistent hashing)",
+                   {{"--sched", &sched}});
+    BenchOptions &opt = bench.opt;
 
     const std::uint32_t coresPerTenant = opt.base.numCores / 2;
 
@@ -117,12 +118,10 @@ main(int argc, char **argv)
                            /*partition=*/false);
         exps.push_back({"resident/shared", shared});
     }
-    SweepPerf perf;
-    std::vector<RunResult> results =
-        runExperiments(exps, opt.threads, true, &perf);
-    const RunResult &solo = results[0];
-    const RunResult &quota = results[1];
-    const RunResult &shared = results[2];
+    const Sweep &isolation = bench.run(std::move(exps));
+    const RunResult &solo = isolation.results[0];
+    const RunResult &quota = isolation.results[1];
+    const RunResult &shared = isolation.results[2];
 
     const double quotaDeg = 100.0 * (1.0 - quota.tenants[0].ipc / solo.ipc);
     const double sharedDeg =
@@ -203,10 +202,7 @@ main(int argc, char **argv)
         c.resize.tenantWeights = {1.0, 1.0};
         qosExps.push_back({"resident/qos-rebalance", c});
     }
-    SweepPerf qosPerf;
-    std::vector<RunResult> qosResults =
-        runExperiments(qosExps, opt.threads, true, &qosPerf);
-    const RunResult &qos = qosResults[0];
+    const RunResult &qos = bench.run(std::move(qosExps)).results[0];
 
     std::printf("\nQoS arbitration after a quota change (layout 4/4, "
                 "weights 3:1):\n");
@@ -226,19 +222,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(qos.qosReassigns),
                 qos.tenants[0].slicesOwned);
 
-    // Fold the QoS sweep into the isolation sweep's results — and its
-    // host perf: writeResultsJson requires one perf entry per result,
-    // so --host-perf used to panic here.
-    for (std::size_t i = 0; i < qosExps.size(); ++i) {
-        exps.push_back(std::move(qosExps[i]));
-        results.push_back(qosResults[i]);
-    }
-    perf.wallSeconds += qosPerf.wallSeconds;
-    perf.experiments.insert(perf.experiments.end(),
-                            qosPerf.experiments.begin(),
-                            qosPerf.experiments.end());
-
     // ----------------------- Part 3: QoS memory scheduler (--sched)
+    bool gatesPass = quotaHolds && sharedEvicts;
     if (sched) {
         std::vector<Experiment> schedExps;
         {
@@ -268,11 +253,9 @@ main(int argc, char **argv)
                            /*writeDrainLow=*/8);
             schedExps.push_back({"resident/sched-on", on});
         }
-        SweepPerf schedPerf;
-        std::vector<RunResult> schedResults =
-            runExperiments(schedExps, opt.threads, true, &schedPerf);
-        const RunResult &soff = schedResults[0];
-        const RunResult &son = schedResults[1];
+        const Sweep &schedRuns = bench.run(std::move(schedExps));
+        const RunResult &soff = schedRuns.results[0];
+        const RunResult &son = schedRuns.results[1];
 
         auto p95Of = [](const RunResult &r, const std::string &name) {
             for (const HistogramSummary &h : r.histograms)
@@ -322,17 +305,9 @@ main(int argc, char **argv)
                     (unsigned long long)son.tenants[1].qosDefers,
                     (unsigned long long)son.tenants[0].qosGrants,
                     (unsigned long long)son.tenants[0].qosDefers);
-
-        for (std::size_t i = 0; i < schedExps.size(); ++i) {
-            exps.push_back(std::move(schedExps[i]));
-            results.push_back(schedResults[i]);
-        }
-        perf.wallSeconds += schedPerf.wallSeconds;
-        perf.experiments.insert(perf.experiments.end(),
-                                schedPerf.experiments.begin(),
-                                schedPerf.experiments.end());
+        gatesPass = gatesPass && gapCloses && qlatDrops;
     }
 
-    maybeWriteJson(opt, "ext_tenant", exps, results, &perf);
-    return 0;
+    // Every PASS/FAIL verdict above gates the exit code.
+    return bench.finish(gatesPass);
 }

@@ -20,19 +20,12 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig4_speedup");
-    printBanner("Figure 4: speedup normalized to NoCache (MPKI in "
-                "parentheses)",
-                "Banshee (MICRO'17), Fig. 4");
-
-    std::vector<Experiment> exps;
-    for (const auto &w : opt.workloads) {
-        for (auto &e : schemeSweep(opt.base, w))
-            exps.push_back(std::move(e));
-    }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    BenchRun bench(argc, argv, "fig4_speedup",
+                   "Figure 4: speedup normalized to NoCache (MPKI in "
+                   "parentheses)",
+                   "Banshee (MICRO'17), Fig. 4");
+    const BenchOptions &opt = bench.opt;
+    const Sweep &index = bench.run(schemeGrid(opt));
 
     const auto schemes = figureSchemes();
     std::vector<std::string> headers = {"workload"};
@@ -72,6 +65,5 @@ main(int argc, char **argv)
     std::printf("Banshee vs Alloy    : %+.1f%%  (paper: +15.0%% vs best "
                 "Alloy)\n",
                 100.0 * (banshee / alloyBest - 1.0));
-    maybeWriteJson(opt, "fig4_speedup", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

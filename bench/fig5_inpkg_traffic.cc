@@ -20,19 +20,12 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig5_inpkg_traffic");
-    printBanner("Figure 5: in-package DRAM traffic breakdown "
-                "(bytes/instruction)",
-                "Banshee (MICRO'17), Fig. 5");
-
-    std::vector<Experiment> exps;
-    for (const auto &w : opt.workloads) {
-        for (auto &e : schemeSweep(opt.base, w))
-            exps.push_back(std::move(e));
-    }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    BenchRun bench(argc, argv, "fig5_inpkg_traffic",
+                   "Figure 5: in-package DRAM traffic breakdown "
+                   "(bytes/instruction)",
+                   "Banshee (MICRO'17), Fig. 5");
+    const BenchOptions &opt = bench.opt;
+    const Sweep &index = bench.run(schemeGrid(opt));
 
     TablePrinter table(
         {"workload", "scheme", "HitData", "MissData", "Tag",
@@ -78,6 +71,5 @@ main(int argc, char **argv)
     std::printf("\nBanshee vs best baseline: %+.1f%% traffic "
                 "(paper: -35.8%%)\n",
                 100.0 * (bansheeAvg / bestBaseline - 1.0));
-    maybeWriteJson(opt, "fig5_inpkg_traffic", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -19,18 +19,12 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig6_offpkg_traffic");
-    printBanner("Figure 6: off-package DRAM traffic (bytes/instruction)",
-                "Banshee (MICRO'17), Fig. 6");
-
-    std::vector<Experiment> exps;
-    for (const auto &w : opt.workloads) {
-        for (auto &e : schemeSweep(opt.base, w))
-            exps.push_back(std::move(e));
-    }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    BenchRun bench(argc, argv, "fig6_offpkg_traffic",
+                   "Figure 6: off-package DRAM traffic "
+                   "(bytes/instruction)",
+                   "Banshee (MICRO'17), Fig. 6");
+    const BenchOptions &opt = bench.opt;
+    const Sweep &index = bench.run(schemeGrid(opt));
 
     const auto schemes = std::vector<std::string>{
         "Unison", "TDC", "Alloy 1", "Alloy 0.1", "Banshee"};
@@ -63,6 +57,5 @@ main(int argc, char **argv)
                 100.0 * (banshee / sums["Unison"] - 1.0));
     std::printf("Banshee vs TDC     : %+.1f%%  (paper: -43.2%%)\n",
                 100.0 * (banshee / sums["TDC"] - 1.0));
-    maybeWriteJson(opt, "fig6_offpkg_traffic", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -21,10 +21,11 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig7_replacement_ablation");
-    printBanner("Figure 7: replacement-policy ablation "
-                "(speedup vs NoCache, in-package traffic)",
-                "Banshee (MICRO'17), Fig. 7");
+    BenchRun bench(argc, argv, "fig7_replacement_ablation",
+                   "Figure 7: replacement-policy ablation "
+                   "(speedup vs NoCache, in-package traffic)",
+                   "Banshee (MICRO'17), Fig. 7");
+    const BenchOptions &opt = bench.opt;
 
     struct Variant
     {
@@ -43,23 +44,15 @@ main(int argc, char **argv)
 
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
-        SystemConfig base = opt.base;
-        base.workload = w;
-        {
-            SystemConfig c = base;
-            c.withScheme(SchemeKind::NoCache);
-            exps.push_back({w + "/NoCache", c});
-        }
+        exps.push_back(
+            {w + "/NoCache", configFor(opt.base, w, SchemeKind::NoCache)});
         for (const auto &v : variants) {
-            SystemConfig c = base;
-            c.withScheme(v.kind);
+            SystemConfig c = configFor(opt.base, w, v.kind);
             c.banshee.policy = v.policy;
             exps.push_back({w + "/" + v.label, c});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"variant", "speedup", "inPkgBPI", "ctrBPI",
                         "missRate"},
@@ -85,6 +78,5 @@ main(int argc, char **argv)
 
     std::printf("\nExpected shape: LRU << FBR-no-sample < Banshee; "
                 "no-sample counter traffic ~2x Banshee's.\n");
-    maybeWriteJson(opt, "fig7_replacement_ablation", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -36,28 +36,21 @@ const std::vector<std::pair<std::string, SchemeKind>> kSchemes = {
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig8_latency_bandwidth");
-    bool defaultList = true;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--workloads")
-            defaultList = false;
-    if (defaultList) {
+    BenchRun bench(argc, argv, "fig8_latency_bandwidth",
+                   "Figure 8: DRAM cache latency and bandwidth sweeps "
+                   "(geomean speedup vs NoCache)",
+                   "Banshee (MICRO'17), Fig. 8");
+    BenchOptions &opt = bench.opt;
+    if (!opt.workloadsExplicit) {
         opt.workloads = {"pagerank", "graph500", "mcf",
                          "lbm", "omnetpp", "libquantum"};
     }
 
-    printBanner("Figure 8: DRAM cache latency and bandwidth sweeps "
-                "(geomean speedup vs NoCache)",
-                "Banshee (MICRO'17), Fig. 8");
-
     std::vector<Experiment> exps;
     // One NoCache baseline per workload (independent of cache params).
-    for (const auto &w : opt.workloads) {
-        SystemConfig c = opt.base;
-        c.workload = w;
-        c.withScheme(SchemeKind::NoCache);
-        exps.push_back({w + "/NoCache", c});
-    }
+    for (const auto &w : opt.workloads)
+        exps.push_back(
+            {w + "/NoCache", configFor(opt.base, w, SchemeKind::NoCache)});
 
     const std::vector<double> latScales = {1.0, 0.66, 0.5};
     const std::vector<std::uint32_t> channels = {8, 4, 2};
@@ -66,9 +59,7 @@ main(int argc, char **argv)
                         std::uint32_t chans) {
         for (const auto &w : opt.workloads) {
             for (const auto &[name, kind] : kSchemes) {
-                SystemConfig c = opt.base;
-                c.workload = w;
-                c.withScheme(kind);
+                SystemConfig c = configFor(opt.base, w, kind);
                 c.withAlloyFillProb(0.1);
                 c.mem.inPkgTiming.latencyScale = latScale;
                 c.mem.numMcs = chans;
@@ -81,9 +72,7 @@ main(int argc, char **argv)
     for (std::uint32_t ch : channels)
         addPoint("bw" + std::to_string(ch), 1.0, ch);
 
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     auto printSweep = [&](const std::string &title,
                           const std::vector<std::string> &tags,
@@ -115,6 +104,5 @@ main(int argc, char **argv)
                {"100%", "66%", "50%"});
     printSweep("c: DRAM cache bandwidth, relative to off-package",
                {"bw8", "bw4", "bw2"}, {"8X", "4X", "2X"});
-    maybeWriteJson(opt, "fig8_latency_bandwidth", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

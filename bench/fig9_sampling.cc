@@ -20,17 +20,16 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "fig9_sampling");
-    printBanner("Figure 9: sampling-coefficient sweep (Banshee)",
-                "Banshee (MICRO'17), Fig. 9");
+    BenchRun bench(argc, argv, "fig9_sampling",
+                   "Figure 9: sampling-coefficient sweep (Banshee)",
+                   "Banshee (MICRO'17), Fig. 9");
+    const BenchOptions &opt = bench.opt;
 
     const std::vector<double> coeffs = {1.0, 0.1, 0.01};
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
         for (double coeff : coeffs) {
-            SystemConfig c = opt.base;
-            c.workload = w;
-            c.withScheme(SchemeKind::Banshee);
+            SystemConfig c = configFor(opt.base, w, SchemeKind::Banshee);
             c.banshee.samplingCoeff = coeff;
             // Sweep the coefficient only: the replacement threshold
             // stays at the default design point (64 x 0.1 / 2). At
@@ -41,9 +40,7 @@ main(int argc, char **argv)
             exps.push_back({w + "/c" + fmt(coeff), c});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"coeff", "missRate", "HitData", "MissData", "Tag",
                         "Counter", "Replace", "Total"},
@@ -71,6 +68,5 @@ main(int argc, char **argv)
     std::printf("\nExpected shape: miss rate rises slightly as the "
                 "coefficient drops; Counter traffic\nshrinks ~10x per "
                 "step and is negligible at <= 0.1.\n");
-    maybeWriteJson(opt, "fig9_sampling", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -25,9 +25,9 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "table1_behavior");
-    printBanner("Table 1: per-scheme DRAM cache behavior (measured)",
-                "Banshee (MICRO'17), Table 1");
+    BenchRun bench(argc, argv, "table1_behavior",
+                   "Table 1: per-scheme DRAM cache behavior (measured)",
+                   "Banshee (MICRO'17), Table 1");
 
     struct Row
     {
@@ -45,24 +45,17 @@ main(int argc, char **argv)
     // "thrash": uniform sweep far beyond it.
     std::vector<Experiment> exps;
     for (const auto &s : schemes) {
-        {
-            SystemConfig c = opt.base;
-            c.workload = "libquantum"; // fits in-cache by construction
-            c.withScheme(s.kind);
+        // libquantum fits in-cache by construction; milc is sparse and
+        // large, so it misses at a high rate.
+        for (const auto &[regime, workload] :
+             {std::pair{"resident", "libquantum"},
+              std::pair{"thrash", "milc"}}) {
+            SystemConfig c = configFor(bench.opt.base, workload, s.kind);
             c.withAlloyFillProb(s.alloyProb);
-            exps.push_back({std::string("resident/") + s.label, c});
-        }
-        {
-            SystemConfig c = opt.base;
-            c.workload = "milc"; // sparse, large: high miss rate
-            c.withScheme(s.kind);
-            c.withAlloyFillProb(s.alloyProb);
-            exps.push_back({std::string("thrash/") + s.label, c});
+            exps.push_back({std::string(regime) + "/" + s.label, c});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"scheme", "hit B/acc", "hitLat", "miss B/acc",
                         "missLat", "repl B/miss"},
@@ -107,6 +100,5 @@ main(int argc, char **argv)
                 "TDC/HMA/Banshee 64B (0 extra bytes on top of data);\n"
                 "miss latency ~2x for probing schemes (Unison/Alloy), "
                 "~1x for PTE/TLB-mapped ones (TDC/HMA/Banshee).\n");
-    maybeWriteJson(opt, "table1_behavior", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

@@ -22,17 +22,16 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "table5_pte_update");
-    printBanner("Table 5: page-table update overhead (Banshee)",
-                "Banshee (MICRO'17), Table 5");
+    BenchRun bench(argc, argv, "table5_pte_update",
+                   "Table 5: page-table update overhead (Banshee)",
+                   "Banshee (MICRO'17), Table 5");
+    const BenchOptions &opt = bench.opt;
 
     const std::vector<double> costsUs = {0.0, 10.0, 20.0, 40.0};
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
         for (double us : costsUs) {
-            SystemConfig c = opt.base;
-            c.workload = w;
-            c.withScheme(SchemeKind::Banshee);
+            SystemConfig c = configFor(opt.base, w, SchemeKind::Banshee);
             c.osCosts.pteUpdateRoutine = usToCycles(us);
             if (us == 0.0) {
                 c.osCosts.shootdownInitiator = 0;
@@ -41,9 +40,7 @@ main(int argc, char **argv)
             exps.push_back({w + "/u" + fmt(us, 0), c});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     TablePrinter table({"cost (us)", "avg perf loss", "max perf loss",
                         "updates/run"},
@@ -71,6 +68,5 @@ main(int argc, char **argv)
 
     std::printf("\nPaper: 10us -> 0.11%% avg / 0.76%% max; "
                 "20us -> 0.18%% / 1.3%%; 40us -> 0.31%% / 2.4%%.\n");
-    maybeWriteJson(opt, "table5_pte_update", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

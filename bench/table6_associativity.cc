@@ -20,24 +20,21 @@ using namespace banshee::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = parseArgs(argc, argv, "table6_associativity");
-    printBanner("Table 6: cache miss rate vs. associativity (Banshee)",
-                "Banshee (MICRO'17), Table 6");
+    BenchRun bench(argc, argv, "table6_associativity",
+                   "Table 6: cache miss rate vs. associativity (Banshee)",
+                   "Banshee (MICRO'17), Table 6");
+    const BenchOptions &opt = bench.opt;
 
     const std::vector<std::uint32_t> ways = {1, 2, 4, 8};
     std::vector<Experiment> exps;
     for (const auto &w : opt.workloads) {
         for (std::uint32_t ways_ : ways) {
-            SystemConfig c = opt.base;
-            c.workload = w;
-            c.withScheme(SchemeKind::Banshee);
+            SystemConfig c = configFor(opt.base, w, SchemeKind::Banshee);
             c.banshee.ways = ways_;
             exps.push_back({w + "/w" + std::to_string(ways_), c});
         }
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
-    const ResultIndex index(exps, results);
+    const Sweep &index = bench.run(std::move(exps));
 
     std::vector<std::string> headers = {"ways"};
     for (std::uint32_t w : ways)
@@ -56,6 +53,5 @@ main(int argc, char **argv)
 
     std::printf("\nPaper: 36.1%% / 32.5%% / 30.9%% / 30.7%% — "
                 "diminishing returns above 4 ways.\n");
-    maybeWriteJson(opt, "table6_associativity", exps, results, &perf);
-    return 0;
+    return bench.finish();
 }

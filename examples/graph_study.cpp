@@ -37,7 +37,7 @@ main(int argc, char **argv)
         for (auto &e : schemeSweep(base, w))
             exps.push_back(std::move(e));
     }
-    const auto results = runExperiments(exps);
+    const auto results = runSweep(exps);
 
     TablePrinter table({"workload", "scheme", "speedup", "missRate",
                         "inPkg B/i", "offPkg B/i"},

@@ -69,7 +69,7 @@ main(int argc, char **argv)
         c.banshee.policy = BansheeConfig::Policy::FbrNoSample;
     });
 
-    const auto results = runExperiments(exps);
+    const auto results = runSweep(exps);
 
     TablePrinter table({"configuration", "cycles", "missRate",
                         "inPkg B/i", "offPkg B/i", "pteUpdates"},

@@ -6,11 +6,10 @@ The perf-regression gate: CI reruns a bench with --json (and
 classes of metric:
 
   * Deterministic simulation results (ipc, missRate, cycles, traffic
-    bytes, energy per instruction): these are exactly reproducible,
-    so any drift beyond --tolerance (default 15%) fails. Drift here
-    means a behavioral change — refresh the baseline deliberately
-    (rerun the bench and commit the new file) when the change is
-    intended.
+    byte sums, energy per instruction): these are bit-reproducible,
+    so any difference from the baseline fails. A difference means a
+    behavioral change — refresh the baseline deliberately (rerun the
+    bench and commit the new file) when the change is intended.
   * Host throughput (eventsPerSec, per-result and sweep-wide):
     compared only when both files carry it, against the looser
     --perf-tolerance (default 50% — shared CI runners are noisy);
@@ -23,7 +22,7 @@ touching the gate.
 
 Usage:
     bench_compare.py baseline.json fresh.json
-    bench_compare.py baseline.json fresh.json --tolerance 0.10
+    bench_compare.py baseline.json fresh.json --perf-tolerance 0.75
     bench_compare.py baseline.json fresh.json --no-host-perf
 
 Stdlib only (CI runs it next to the bench binaries).
@@ -33,8 +32,8 @@ import argparse
 import json
 import sys
 
-# Deterministic per-result scalars worth gating. Traffic and energy
-# summarize as sums so one noisy category cannot fail the gate alone.
+# Deterministic per-result scalars, gated exactly. Traffic is gated
+# as its per-device byte sums.
 SCALARS = ["ipc", "missRate", "cycles", "energyPerInstrPJ"]
 
 
@@ -65,19 +64,26 @@ class Gate:
         self.failures = []
         self.checked = 0
 
-    def check(self, label, metric, base, fresh, tol, lower_is_bad=False):
-        """Two-sided by default; lower_is_bad gates only decreases
-        (host throughput: a slowdown fails, a speedup just prints)."""
+    def report(self, label, metric, base, fresh, bad, noteworthy=False):
         self.checked += 1
-        drift = rel_drift(base, fresh)
-        bad = drift < -tol if lower_is_bad else abs(drift) > tol
-        line = (f"  {label:40} {metric:20} {base:>14.6g} -> "
-                f"{fresh:>14.6g}  {100 * drift:+7.2f}%")
+        line = (f"  {label:40} {metric:20} {base!r:>14} -> "
+                f"{fresh!r:>14}  {100 * rel_drift(base, fresh):+7.2f}%")
         if bad:
             self.failures.append(line)
             print(line + "  FAIL")
-        elif abs(drift) > tol / 2:
+        elif noteworthy:
             print(line)  # worth eyeballing, not worth failing
+
+    def exact(self, label, metric, base, fresh):
+        """Deterministic results: any difference fails."""
+        self.report(label, metric, base, fresh, base != fresh)
+
+    def slowdown(self, label, metric, base, fresh, tol):
+        """Host throughput: a slowdown beyond tol fails, a speedup
+        just prints."""
+        drift = rel_drift(base, fresh)
+        self.report(label, metric, base, fresh, drift < -tol,
+                    abs(drift) > tol / 2)
 
 
 def main():
@@ -86,8 +92,6 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("baseline")
     ap.add_argument("fresh")
-    ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="deterministic-metric gate (default 0.15)")
     ap.add_argument("--perf-tolerance", type=float, default=0.50,
                     help="host events/sec slowdown gate (default 0.50)")
     ap.add_argument("--no-host-perf", action="store_true",
@@ -115,32 +119,31 @@ def main():
         fresh = fresh_by[label]
         for metric in SCALARS:
             if metric in base and metric in fresh:
-                gate.check(label, metric, base[metric], fresh[metric],
-                           args.tolerance)
+                gate.exact(label, metric, base[metric], fresh[metric])
         for key in ("inPkgBytes", "offPkgBytes"):
-            gate.check(label, key + ".sum", traffic_sum(base, key),
-                       traffic_sum(fresh, key), args.tolerance)
+            gate.exact(label, key + ".sum", traffic_sum(base, key),
+                       traffic_sum(fresh, key))
         if (not args.no_host_perf and "hostPerf" in base
                 and "hostPerf" in fresh):
-            gate.check(label, "hostPerf.eventsPerSec",
-                       base["hostPerf"].get("eventsPerSec", 0),
-                       fresh["hostPerf"].get("eventsPerSec", 0),
-                       args.perf_tolerance, lower_is_bad=True)
+            gate.slowdown(label, "hostPerf.eventsPerSec",
+                          base["hostPerf"].get("eventsPerSec", 0),
+                          fresh["hostPerf"].get("eventsPerSec", 0),
+                          args.perf_tolerance)
 
     if (not args.no_host_perf and "sweepHostPerf" in base_doc
             and "sweepHostPerf" in fresh_doc):
-        gate.check("<sweep>", "eventsPerSec",
-                   base_doc["sweepHostPerf"].get("eventsPerSec", 0),
-                   fresh_doc["sweepHostPerf"].get("eventsPerSec", 0),
-                   args.perf_tolerance, lower_is_bad=True)
+        gate.slowdown("<sweep>", "eventsPerSec",
+                      base_doc["sweepHostPerf"].get("eventsPerSec", 0),
+                      fresh_doc["sweepHostPerf"].get("eventsPerSec", 0),
+                      args.perf_tolerance)
 
     if gate.failures:
         print(f"\n{len(gate.failures)} of {gate.checked} checks "
-              f"regressed beyond tolerance:")
+              f"failed:")
         for line in gate.failures:
             print(line)
         sys.exit(1)
-    print(f"OK: {gate.checked} checks within tolerance "
+    print(f"OK: {gate.checked} checks passed "
           f"({len(base_by)} labels)")
 
 

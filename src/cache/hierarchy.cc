@@ -129,16 +129,10 @@ CacheHierarchy::handleL1Victim(CoreId core, const Cache::Victim &victim)
 {
     if (!victim.valid || !victim.dirty)
         return;
-    // Inclusive L2: the line must still be there; merge the dirty data.
-    if (l2_[core]->contains(victim.line)) {
-        l2_[core]->setDirty(victim.line);
-    } else if (l3_->contains(victim.line)) {
-        // Possible if the L2 copy was evicted while L1 kept the line.
-        l3_->setDirty(victim.line);
-    } else {
-        backend_.writebackLine(victim.line);
-        ++statLlcWritebacks_;
-    }
+    // L2 is inclusive of L1: fillPrivate fills L2 before L1, and both
+    // L2 and L3 victims back-invalidate the L1 copies. So the line is
+    // still in L2 (setDirty asserts it); merge the dirty data there.
+    l2_[core]->setDirty(victim.line);
 }
 
 void

@@ -28,25 +28,23 @@ SweepPerf::eventsPerSec() const
 }
 
 std::vector<RunResult>
-runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
+runSweep(const std::vector<Experiment> &exps, unsigned threads,
+         SweepPerf *perf, bool showProgress)
 {
     using clock = std::chrono::steady_clock;
 
-    unsigned threads = opts.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
     threads = std::min<unsigned>(
         threads, std::max<std::size_t>(exps.size(), 1));
 
-    // Auto shard size: several claims per worker for load balance;
-    // one experiment per claim until grids get large.
-    std::size_t shard = opts.shard;
-    if (shard == 0)
-        shard = std::max<std::size_t>(
-            1, exps.size() / (static_cast<std::size_t>(threads) * 8));
+    // Shard size: several claims per worker for load balance; one
+    // experiment per claim until grids get large.
+    const std::size_t shard = std::max<std::size_t>(
+        1, exps.size() / (static_cast<std::size_t>(threads) * 8));
 
     std::vector<RunResult> results(exps.size());
-    std::vector<RunPerf> perf(exps.size());
+    std::vector<RunPerf> runPerf(exps.size());
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> finished{0};
 
@@ -75,12 +73,12 @@ runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
                 const auto start = clock::now();
                 System system(config);
                 results[i] = system.run();
-                perf[i].wallSeconds =
+                runPerf[i].wallSeconds =
                     std::chrono::duration<double>(clock::now() - start)
                         .count();
-                perf[i].events = system.eventQueue().eventsExecuted();
+                runPerf[i].events = system.eventQueue().eventsExecuted();
                 const std::size_t done = finished.fetch_add(1) + 1;
-                if (opts.showProgress) {
+                if (showProgress) {
                     std::fprintf(stderr, "\r[bench] %zu/%zu %-40s", done,
                                  exps.size(), exps[i].label.c_str());
                     std::fflush(stderr);
@@ -95,27 +93,16 @@ runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
-    if (opts.showProgress)
+    if (showProgress)
         std::fprintf(stderr, "\n");
 
-    if (opts.perf != nullptr) {
-        opts.perf->wallSeconds =
+    if (perf != nullptr) {
+        perf->wallSeconds =
             std::chrono::duration<double>(clock::now() - sweepStart)
                 .count();
-        opts.perf->experiments = std::move(perf);
+        perf->experiments = std::move(runPerf);
     }
     return results;
-}
-
-std::vector<RunResult>
-runExperiments(const std::vector<Experiment> &exps, unsigned threads,
-               bool showProgress, SweepPerf *perf)
-{
-    SweepOptions opts;
-    opts.threads = threads;
-    opts.showProgress = showProgress;
-    opts.perf = perf;
-    return runSweep(exps, opts);
 }
 
 std::vector<Experiment>

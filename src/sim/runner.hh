@@ -63,34 +63,17 @@ struct SweepPerf
     double eventsPerSec() const;
 };
 
-struct SweepOptions
-{
-    unsigned threads = 0; ///< simultaneous experiments; 0 = hw conc.
-    /** Experiments claimed per worker fetch. 0 = auto: chunks sized
-     *  so each worker makes several claims (load balance) without a
-     *  fetch per experiment on huge grids. */
-    std::size_t shard = 0;
-    bool showProgress = true;
-    SweepPerf *perf = nullptr; ///< optional host-performance out
-};
-
 /**
- * Run all experiments across a worker pool claiming shards of the
- * list. Results are returned in the input order regardless of
- * thread count or shard size.
+ * Run all experiments across a pool of @p threads workers (0 =
+ * hardware concurrency) claiming shards of the list. Results are
+ * returned in the input order regardless of thread count. When
+ * @p perf is given it receives the per-experiment and whole-sweep
+ * host cost.
  */
 std::vector<RunResult> runSweep(const std::vector<Experiment> &exps,
-                                const SweepOptions &opts);
-
-/**
- * Back-compat convenience over runSweep(): run all experiments,
- * @p threads at a time (0 = hardware concurrency). When @p perf is
- * given it receives the per-experiment and whole-sweep host cost.
- */
-std::vector<RunResult> runExperiments(const std::vector<Experiment> &exps,
-                                      unsigned threads = 0,
-                                      bool showProgress = true,
-                                      SweepPerf *perf = nullptr);
+                                unsigned threads = 0,
+                                SweepPerf *perf = nullptr,
+                                bool showProgress = true);
 
 /**
  * Build the standard scheme sweep of Figures 4-6 for one workload:

@@ -4,7 +4,7 @@
  *
  * Every line carries the run label, the simulated cycle and an event
  * type, so a single file can hold the interleaved traces of a whole
- * bench sweep (runExperiments runs systems on worker threads; writes
+ * bench sweep (runSweep runs systems on worker threads; writes
  * are line-atomic under a mutex). Sinks are shared by path: every
  * System whose TelemetryConfig names the same file appends to one
  * process-wide sink, which truncates the file exactly once.
@@ -74,7 +74,7 @@ class TraceSink
     /**
      * The shared sink for @p path: the first request opens (and
      * truncates) the file, later requests — e.g. the second
-     * runExperiments batch of a bench — keep appending to it.
+     * runSweep batch of a bench — keep appending to it.
      */
     static std::shared_ptr<TraceSink> shared(const std::string &path);
 

@@ -543,7 +543,7 @@ TEST(ResizeEndToEnd, ConsistentHashBeatsFlushResizeOnTransitionTraffic)
     for (const std::string workload : {"omnetpp", "mcf"}) {
         SystemConfig base = resizeBase(workload);
         const auto exps = resizeSweep(base, workload, 1, 4);
-        const auto results = runExperiments(exps, 1, false);
+        const auto results = runSweep(exps, 1, nullptr, false);
         ASSERT_EQ(results.size(), 3u);
 
         const RunResult &ch = results[1];

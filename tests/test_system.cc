@@ -3,11 +3,17 @@
  * Integration and property tests: every scheme runs end-to-end on a
  * tiny system without losing a memory response; the lazy-coherence
  * invariant holds under the full machine (checkStaleInvariant); the
- * bounding baselines bound; results are deterministic.
+ * bounding baselines bound; results are deterministic; BenchRun
+ * writes every sweep a bench runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "bench_util.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
@@ -258,13 +264,61 @@ TEST(Runner, ParallelSweepPreservesOrderAndDeterminism)
     base.warmupInstrPerCore = 5'000;
     base.measureInstrPerCore = 10'000;
     auto exps = schemeSweep(base, "libquantum");
-    const auto seq = runExperiments(exps, 1, false);
-    const auto par = runExperiments(exps, 4, false);
+    const auto seq = runSweep(exps, 1, nullptr, false);
+    const auto par = runSweep(exps, 4, nullptr, false);
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i) {
         EXPECT_EQ(seq[i].cycles, par[i].cycles) << exps[i].label;
         EXPECT_EQ(seq[i].scheme, par[i].scheme);
     }
+}
+
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1))
+        ++n;
+    return n;
+}
+
+// A bench whose second sweep is built from the first's results (like
+// ext_energy's power cap) must write both sweeps, each result with its
+// host perf, and report its verdict through the exit code.
+TEST(BenchRun, JsonHasHostPerfForEveryResultOfEverySweep)
+{
+    const std::string path = ::testing::TempDir() + "bench_run.json";
+    std::vector<std::string> args = {"bench_run", "--threads", "2",
+                                     "--json", path, "--host-perf"};
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    benchutil::BenchRun bench(static_cast<int>(argv.size()), argv.data(),
+                              "bench_run", "title", "reference");
+    ASSERT_TRUE(bench.opt.hostPerf);
+
+    const benchutil::Sweep &first = bench.run(
+        {{"libquantum/NoCache", tiny(SchemeKind::NoCache)},
+         {"libquantum/Banshee", tiny(SchemeKind::Banshee)}});
+    bench.run({{"libquantum/Tdc", tiny(SchemeKind::Tdc)}});
+    // The first sweep's reference survives the second run().
+    EXPECT_EQ(first.at("libquantum", "Banshee").scheme, "Banshee");
+    // A timing-only rerun is not written.
+    bench.rerun({{"libquantum/Rerun", tiny(SchemeKind::Tdc)}}, 1);
+
+    EXPECT_EQ(bench.finish(), 0);
+    std::ifstream in(path);
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_EQ(countOf(json.str(), "\"label\""), 3u);
+    EXPECT_EQ(countOf(json.str(), "\"hostPerf\""), 3u);
+    EXPECT_EQ(countOf(json.str(), "\"sweepHostPerf\""), 1u);
+    EXPECT_EQ(countOf(json.str(), "libquantum/Tdc"), 1u);
+    EXPECT_EQ(countOf(json.str(), "libquantum/Rerun"), 0u);
+
+    EXPECT_EQ(bench.finish(false), 1);
+    std::remove(path.c_str());
 }
 
 TEST(Runner, GeomeanBasics)
