@@ -6,7 +6,7 @@
  * one's results), prints its report from the returned Sweep, and returns
  * finish(). BenchRun owns everything else: the shared flags
  * (--quick / --full / --workloads a,b,c / --threads N / --json path /
- * --host-perf / --telemetry path / --spans[=N] / --verbose), the
+ * --host-perf / --trace[=N] / --verbose), the
  * banner, the sweeps, their host perf, the --json output and the exit
  * code.
  */
@@ -45,9 +45,9 @@ struct BenchOptions
      *  Opt-in: host timings are nondeterministic, and default JSON
      *  output is guarded byte-identical across engine refactors. */
     bool hostPerf = false;
-    /** Non-empty when --spans was given: the directory span traces
+    /** Non-empty when --trace was given: the directory the traces
      *  land in (one <label>.trace.json per experiment). */
-    std::string spansDir;
+    std::string traceDir;
 };
 
 /**
@@ -58,14 +58,14 @@ struct BenchOptions
  *   --threads N      worker threads
  *   --json path      also emit machine-readable results (BENCH_*.json)
  *   --host-perf      stamp wall-clock + events/sec into --json output
- *   --telemetry path epoch-resolved JSONL trace (telemetry_summary.py);
- *                    a directory path writes one <label>.jsonl per run
- *   --spans[=N]      span tracing into SPANS_<bench>/<label>.trace.json
- *                    with sample shift N (default 6 = 1/64 of pages)
+ *   --trace[=N]      one trace per experiment (epoch counters, decision
+ *                    events, page spans; scripts/trace_tool.py) into
+ *                    TRACE_<bench>/<label>.trace.json, page spans with
+ *                    sample shift N (default 6 = 1/64 of pages)
  *   --verbose / -v   raise log verbosity (also: BANSHEE_LOG env var)
  *
  * @p prog names the binary in usage/error messages and the
- * default --spans output directory.
+ * default --trace output directory.
  *
  * @p extraFlags lets a bench register additional boolean switches
  * (e.g. ext_tenant's --sched): each pair maps a flag spelling to the
@@ -85,7 +85,7 @@ parseArgs(int argc, char **argv, const std::string &prog,
         std::fprintf(stderr,
                      "usage: %s [--quick] [--full] "
                      "[--workloads a,b,c] [--threads N] [--json path] "
-                     "[--host-perf] [--telemetry path] [--spans[=N]] "
+                     "[--host-perf] [--trace[=N]] "
                      "[--verbose|-v]%s\n",
                      prog.c_str(), extra.c_str());
         std::exit(1);
@@ -143,10 +143,8 @@ parseArgs(int argc, char **argv, const std::string &prog,
             opt.jsonPath = argv[++i];
         } else if (arg == "--host-perf") {
             opt.hostPerf = true;
-        } else if (arg == "--telemetry" && i + 1 < argc) {
-            opt.base.withTelemetry(argv[++i]);
-        } else if (arg == "--spans" ||
-                   arg.rfind("--spans=", 0) == 0) {
+        } else if (arg == "--trace" ||
+                   arg.rfind("--trace=", 0) == 0) {
             // Same strict-parse discipline as --threads: reject
             // garbage shifts instead of silently sampling everything.
             std::uint32_t shift = 6;
@@ -156,25 +154,26 @@ parseArgs(int argc, char **argv, const std::string &prog,
                 const unsigned long v = std::strtoul(s, &end, 10);
                 if (*s == '\0' || end == nullptr || *end != '\0' ||
                     v > 24) {
-                    usage(std::string("--spans needs a sample shift in "
+                    usage(std::string("--trace needs a sample shift in "
                                       "[0, 24], got '") +
                           s + "'");
                 }
                 shift = static_cast<std::uint32_t>(v);
             }
-            opt.spansDir = "SPANS_" + prog;
-            opt.base.withSpanTrace(opt.spansDir + "/", shift);
+            opt.traceDir = "TRACE_" + prog;
+            opt.base.withTelemetry(opt.traceDir + "/");
+            opt.base.telemetry.sampleShift = shift;
         } else if (arg == "--verbose" || arg == "-v") {
             ++banshee::logVerbosity;
         } else {
             usage("unknown or incomplete argument '" + arg + "'");
         }
     }
-    if (!opt.spansDir.empty()) {
-        std::printf("[spans] tracing 1/%u of pages into %s/ "
-                    "(scripts/spans_to_perfetto.py)\n",
-                    1u << opt.base.spans.sampleShift,
-                    opt.spansDir.c_str());
+    if (!opt.traceDir.empty()) {
+        std::printf("[trace] one trace per experiment, page spans of "
+                    "1/%u of pages, in %s/ (scripts/trace_tool.py)\n",
+                    1u << opt.base.telemetry.sampleShift,
+                    opt.traceDir.c_str());
     }
     return opt;
 }
@@ -207,7 +206,7 @@ class BenchRun
      * Parse the shared flags (plus @p extraFlags, boolean switches
      * such as ext_tenant's --sched) and print the banner. @p name is
      * the binary's name: it appears in usage errors, the default
-     * --spans directory and the JSON "bench" field.
+     * --trace directory and the JSON "bench" field.
      */
     BenchRun(int argc, char **argv, const std::string &name,
              const std::string &title, const std::string &paperRef,

@@ -232,7 +232,7 @@ main(int argc, char **argv)
             // Telemetry on in both runs (it does not perturb the
             // simulation — pinned by TracingDoesNotPerturbSimulation)
             // so the resident tenant's p95 queueing is comparable. An
-            // empty path keeps the JSONL sink off.
+            // empty path writes no trace file.
             if (!off.telemetry.enabled)
                 off.withTelemetry("");
             schedExps.push_back({"resident/sched-off", off});

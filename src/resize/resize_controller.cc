@@ -4,7 +4,6 @@
 #include "common/units.hh"
 #include "dram/dram_model.hh"
 #include "telemetry/span_trace.hh"
-#include "telemetry/telemetry.hh"
 
 namespace banshee {
 
@@ -212,17 +211,19 @@ ResizeController::epochTick()
     } else {
         const auto target = policy_.decide(epochIndex_, epoch,
                                            activeSlices(), totalSlices());
-        if (telem_ && target.has_value() && *target != activeSlices()) {
+        if (spans_ && target.has_value() && *target != activeSlices()) {
             if (config_.policy.kind == ResizePolicyConfig::Kind::PowerCap &&
                 *target < activeSlices()) {
-                telem_->event("powercap_shed",
-                              {{"from", activeSlices()},
-                               {"to", *target},
-                               {"watts", epoch.avgPowerWatts},
-                               {"capWatts", config_.policy.powerCapWatts}});
+                spans_->controlInstant(
+                    spanTrack_, "powercap_shed", eq_.now(),
+                    {{"from", activeSlices()},
+                     {"to", *target},
+                     {"watts", epoch.avgPowerWatts},
+                     {"capWatts", config_.policy.powerCapWatts}});
             } else {
-                telem_->event("resize_target",
-                              {{"from", activeSlices()}, {"to", *target}});
+                spans_->controlInstant(
+                    spanTrack_, "resize_target", eq_.now(),
+                    {{"from", activeSlices()}, {"to", *target}});
             }
         }
         if (config_.policy.kind == ResizePolicyConfig::Kind::Schedule) {
@@ -296,29 +297,21 @@ ResizeController::qosTick(const ResizeEpochStats &epoch)
 
     const QosDecision d =
         qos_->decide(ts, epoch, owned, activeSlices(), totalSlices());
-    if (spans_ && !d.empty()) {
+    if (spans_ && d.targetActive.has_value()) {
         spans_->controlInstant(
-            spanTrack_, "qos_decision", eq_.now(),
-            {{"reason", qosReasonName(d.reason)},
-             {"donor", static_cast<std::uint32_t>(d.donor)},
-             {"receiver", static_cast<std::uint32_t>(d.receiver)}});
-    }
-    if (telem_ && !d.empty()) {
-        if (d.targetActive.has_value()) {
-            telem_->event("qos_resize",
-                          {{"from", activeSlices()},
-                           {"to", *d.targetActive},
-                           {"donor", d.donor},
-                           {"receiver", d.receiver},
-                           {"reason", qosReasonName(d.reason)},
-                           {"watts", epoch.avgPowerWatts},
-                           {"capWatts", config_.policy.powerCapWatts}});
-        } else if (d.reassign()) {
-            telem_->event("qos_reassign",
-                          {{"donor", d.donor},
-                           {"receiver", d.receiver},
-                           {"reason", qosReasonName(d.reason)}});
-        }
+            spanTrack_, "qos_resize", eq_.now(),
+            {{"from", activeSlices()},
+             {"to", *d.targetActive},
+             {"donor", d.donor},
+             {"receiver", d.receiver},
+             {"reason", qosReasonName(d.reason)},
+             {"watts", epoch.avgPowerWatts},
+             {"capWatts", config_.policy.powerCapWatts}});
+    } else if (spans_ && d.reassign()) {
+        spans_->controlInstant(spanTrack_, "qos_reassign", eq_.now(),
+                               {{"donor", d.donor},
+                                {"receiver", d.receiver},
+                                {"reason", qosReasonName(d.reason)}});
     }
     if (d.targetActive.has_value())
         requestResize(*d.targetActive, d.donor, d.receiver);
@@ -327,11 +320,9 @@ ResizeController::qosTick(const ResizeEpochStats &epoch)
 }
 
 std::function<void()>
-ResizeController::transitionDone(Counter &completions,
-                                 const char *traceEvent,
-                                 bool capacityLoss)
+ResizeController::transitionDone(Counter &completions, bool capacityLoss)
 {
-    return [this, &completions, traceEvent, capacityLoss] {
+    return [this, &completions, capacityLoss] {
         sim_assert(pendingDomains_ > 0, "stray drain completion");
         if (--pendingDomains_ == 0) {
             ++completions;
@@ -345,13 +336,8 @@ ResizeController::transitionDone(Counter &completions,
             }
             // Entitlements may have moved with the slices.
             pushQosShares();
-            if (telem_) {
-                telem_->event(traceEvent,
-                              {{"activeSlices", activeSlices()},
-                               {"pagesMigrated", pagesMigrated()},
-                               {"tagBufferStalls", tagBufferStalls()}});
-            }
             if (spans_) {
+                // The transition span's end is its commit.
                 spans_->controlEnd(
                     spanTrack_, eq_.now(),
                     {{"activeSlices", activeSlices()},
@@ -395,14 +381,6 @@ ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
     ++statStarted_;
     inform("resize: %u -> %u active slices (%s)", activeSlices(),
            targetSlices, resizeStrategyName(config_.strategy));
-    if (telem_) {
-        telem_->event("resize_start",
-                      {{"from", activeSlices()},
-                       {"to", targetSlices},
-                       {"strategy", resizeStrategyName(config_.strategy)},
-                       {"donor", donor},
-                       {"receiver", receiver}});
-    }
     if (spans_) {
         spans_->controlBegin(
             spanTrack_, "resize", eq_.now(),
@@ -425,8 +403,7 @@ ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
     pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
     for (auto &d : domains_)
         d->resizeTo(targetSlices,
-                    transitionDone(statCompleted_, "resize_commit",
-                                   capacityLoss),
+                    transitionDone(statCompleted_, capacityLoss),
                     donor, receiver);
     return true;
 }
@@ -462,7 +439,7 @@ ResizeController::requestReassign(TenantId donor, TenantId receiver)
     pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
     for (auto &d : domains_)
         d->reassignSlice(slice, receiver,
-                         transitionDone(statReassigns_, "reassign_commit"));
+                         transitionDone(statReassigns_));
     return true;
 }
 

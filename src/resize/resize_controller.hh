@@ -42,7 +42,6 @@
 
 namespace banshee {
 
-class Telemetry;    // telemetry/telemetry.hh
 class PageJournal;  // telemetry/span_trace.hh
 class DramModel;    // dram/dram_model.hh
 
@@ -88,15 +87,13 @@ class ResizeController
      */
     void attachQosDevice(DramModel *dev);
 
-    /** Attach (or detach with nullptr) the trace-event sink: resize
-     *  targets, cap sheds, QoS decisions and commits are logged. */
-    void attachTelemetry(Telemetry *telem) { telem_ = telem; }
-
     /**
-     * Attach span tracing: transitions become begin/end spans on a
-     * "resize" control track, each domain's drain batches land on
-     * their own "migration.<i>" track, and per-tenant quota changes
-     * are marked on "tenant.<name>" tracks. Call after addHost and
+     * Attach the run's trace: policy decisions (resize targets, cap
+     * sheds, QoS decisions) become instants and transitions become
+     * begin/end spans (the end is the commit) on a "resize" control
+     * track, each domain's drain batches land on their own
+     * "migration.<i>" track, and per-tenant quota changes are marked
+     * on "tenant.<name>" tracks. Call after addHost and
      * attachTenants. Null = off.
      */
     void attachSpanTrace(PageJournal *spans);
@@ -178,11 +175,9 @@ class ResizeController
     void qosTick(const ResizeEpochStats &epoch);
 
     /** Completion callback shared by resizes and reassignments;
-     *  @p traceEvent names the commit event in the telemetry trace.
      *  @p capacityLoss marks a shrink: hosts are told so they can
      *  unfreeze replacement state (FBR decay). */
     std::function<void()> transitionDone(Counter &completions,
-                                         const char *traceEvent,
                                          bool capacityLoss = false);
 
     /** Recompute tenant entitlement shares and push them to the QoS
@@ -202,7 +197,6 @@ class ResizeController
     ResizeConfig config_;
     ResizePolicy policy_;
     DramPowerModel *power_ = nullptr;
-    Telemetry *telem_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
     std::vector<std::uint32_t> tenantSpanTracks_;

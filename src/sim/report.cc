@@ -3,6 +3,7 @@
 #include <cstdarg>
 
 #include "common/log.hh"
+#include "telemetry/trace_sink.hh"
 
 namespace banshee {
 
@@ -40,8 +41,6 @@ fmt(double value, int decimals)
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
     return buf;
 }
-
-// jsonEscape comes from telemetry/trace_sink.hh (via system_config.hh).
 
 namespace {
 

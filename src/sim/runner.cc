@@ -58,18 +58,12 @@ runSweep(const std::vector<Experiment> &exps, unsigned threads,
             const std::size_t end =
                 std::min(begin + shard, exps.size());
             for (std::size_t i = begin; i < end; ++i) {
-                // Telemetry traces from a sweep share one file; stamp
-                // each run's lines with its experiment label so the
-                // summary script can split them back apart.
+                // Traces never share a file: the label routes each
+                // experiment to its own trace (directory paths) or a
+                // "-<label>" suffixed file.
                 SystemConfig config = exps[i].config;
-                if (config.telemetry.enabled &&
-                    config.telemetry.runLabel.empty())
+                if (config.telemetry.runLabel.empty())
                     config.telemetry.runLabel = exps[i].label;
-                // Span traces never share a file: the label routes
-                // each experiment to its own trace (directory paths)
-                // or a "-<label>" suffixed file.
-                if (config.spans.enabled && config.spans.runLabel.empty())
-                    config.spans.runLabel = exps[i].label;
                 const auto start = clock::now();
                 System system(config);
                 results[i] = system.run();

@@ -7,14 +7,14 @@
  *
  * Safe-parallelism contract (audited for the engine refactor): a
  * `System` owns every piece of mutable simulation state it touches —
- * its EventQueue, all component RNGs (seeded from its config), stats
- * and telemetry buffers. The only cross-`System` mutable state is
- * the TraceSink registry (mutex-protected; concurrent JSONL writers
- * append line-atomically), the process-wide `logVerbosity` knob
- * (written during argument parsing, before any worker thread
- * starts), and `warn_once` dedup flags (atomic). Sweeps therefore
- * shard freely across threads with no simulation-visible interaction
- * between experiments.
+ * its EventQueue, all component RNGs (seeded from its config), stats,
+ * telemetry buffers and its trace file (one per experiment label; no
+ * trace state is shared between Systems). The only cross-`System`
+ * mutable state is the process-wide `logVerbosity` knob (written
+ * during argument parsing, before any worker thread starts) and
+ * `warn_once` dedup flags (atomic). Sweeps therefore shard freely
+ * across threads with no simulation-visible interaction between
+ * experiments.
  */
 
 #ifndef BANSHEE_SIM_RUNNER_HH

@@ -298,17 +298,18 @@ System::System(const SystemConfig &config) : config_(config)
 
     if (config_.telemetry.enabled)
         buildTelemetry();
-    if (config_.spans.enabled)
-        buildSpanTrace();
 }
 
 void
 System::buildTelemetry()
 {
-    telemetry_ = std::make_unique<Telemetry>(eq_, config_.telemetry);
+    if (!config_.telemetry.path.empty())
+        buildTrace();
+    telemetry_ =
+        std::make_unique<Telemetry>(eq_, config_.telemetry, trace_.get());
     MetricRegistry &reg = telemetry_->registry();
 
-    // System-wide gauges: cumulative as-of-sample; the summary script
+    // System-wide gauges: cumulative as-of-sample; trace_tool.py
     // turns adjacent-sample deltas into per-epoch rates.
     reg.addGauge("instructions", [this] {
         std::uint64_t n = 0;
@@ -332,7 +333,6 @@ System::buildTelemetry()
             return static_cast<double>(resize_->activeSlices());
         });
         reg.addStatSet(resize_->stats(), "resize.");
-        resize_->attachTelemetry(telemetry_.get());
         Histogram &batchLat = telemetry_->histogram("migration.batchLat");
         for (std::size_t d = 0; d < resize_->numDomains(); ++d)
             resize_->domain(d).engine().setTelemetry(&batchLat);
@@ -342,11 +342,13 @@ System::buildTelemetry()
         for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
             const TenantId t = static_cast<TenantId>(ti);
             const std::string base = "tenant." + tenants_->config(t).name;
-            reg.addGauge(base + ".slices", [this, t] {
-                return resize_
-                           ? static_cast<double>(resize_->slicesOwnedBy(t))
-                           : 0.0;
-            });
+            // Without a controller the tenants share every slice: no
+            // series, as for activeSlices.
+            if (resize_) {
+                reg.addGauge(base + ".slices", [this, t] {
+                    return static_cast<double>(resize_->slicesOwnedBy(t));
+                });
+            }
             reg.addGauge(base + ".accesses", [this, t] {
                 std::uint64_t n = 0;
                 for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
@@ -387,7 +389,7 @@ System::buildTelemetry()
 }
 
 void
-System::buildSpanTrace()
+System::buildTrace()
 {
     // The sampler hashes page frames at the scheme's page granularity
     // so every hook — line-addressed fetches, page-addressed FBR and
@@ -395,41 +397,53 @@ System::buildSpanTrace()
     const std::uint32_t pageBits = config_.scheme == SchemeKind::Banshee
                                        ? config_.banshee.pageBits
                                        : kPageBits;
-    spans_ = std::make_unique<PageJournal>(config_.spans, pageBits,
+    trace_ = std::make_unique<PageJournal>(config_.telemetry, pageBits,
                                            config_.seed);
-    spans_->runInfo({{"workload", config_.workload},
-                     {"scheme", schemeKindName(config_.scheme)},
-                     {"label", config_.spans.runLabel},
-                     {"sampleShift", config_.spans.sampleShift},
-                     {"seed", config_.seed},
-                     {"pageBits", pageBits}});
+    const std::uint32_t run = PageJournal::kRunTrack;
+    trace_->controlInstant(
+        run, "run_info", 0,
+        {{"label", config_.telemetry.runLabel},
+         {"workload", config_.workload},
+         {"scheme", schemeKindName(config_.scheme)},
+         {"cores", config_.numCores},
+         {"coreFreqHz", kCoreFreqHz},
+         {"epochCycles", config_.telemetry.epochCycles},
+         {"warmupInstrPerCore", config_.warmupInstrPerCore},
+         {"measureInstrPerCore", config_.measureInstrPerCore},
+         {"sampleShift", config_.telemetry.sampleShift},
+         {"seed", config_.seed},
+         {"pageBits", pageBits}});
+    if (tenants_) {
+        for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
+            const TenantId t = static_cast<TenantId>(ti);
+            trace_->controlInstant(
+                run, "tenant", 0,
+                {{"id", ti},
+                 {"name", tenants_->config(t).name},
+                 {"workload", tenants_->config(t).workload},
+                 {"weight", tenants_->weight(t)},
+                 {"cores", tenants_->coreCount(t)}});
+        }
+    }
 
-    mem_->setSpanTrace(spans_.get());
+    mem_->setSpanTrace(trace_.get());
     for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
-        mem_->scheme(mc).attachSpanTrace(spans_.get());
+        mem_->scheme(mc).attachSpanTrace(trace_.get());
 
     auto attachChannels = [this](DramModel *dev, const char *prefix) {
         if (!dev)
             return;
         for (std::uint32_t c = 0; c < dev->numChannels(); ++c) {
-            const std::uint32_t track = spans_->addChannelTrack(
+            const std::uint32_t track = trace_->addChannelTrack(
                 std::string(prefix) + ".ch" + std::to_string(c));
-            dev->channel(c).setSpanTrace(spans_.get(), track);
+            dev->channel(c).setSpanTrace(trace_.get(), track);
         }
     };
     attachChannels(mem_->inPkg(), "inpkg");
     attachChannels(mem_->offPkg(), "offpkg");
 
     if (resize_)
-        resize_->attachSpanTrace(spans_.get());
-
-    if (tenants_) {
-        for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
-            const TenantId t = static_cast<TenantId>(ti);
-            spans_->tenantInfo(ti, tenants_->config(t).name,
-                               tenants_->weight(t));
-        }
-    }
+        resize_->attachSpanTrace(trace_.get());
 }
 
 System::~System() = default;
@@ -471,29 +485,6 @@ System::resetAllStats()
 RunResult
 System::run()
 {
-    if (telemetry_) {
-        telemetry_->event(
-            "run_start",
-            {{"workload", config_.workload},
-             {"scheme", schemeKindName(config_.scheme)},
-             {"cores", config_.numCores},
-             {"coreFreqHz", kCoreFreqHz},
-             {"epochCycles", config_.telemetry.epochCycles},
-             {"warmupInstrPerCore", config_.warmupInstrPerCore},
-             {"measureInstrPerCore", config_.measureInstrPerCore}});
-        if (tenants_) {
-            for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
-                const TenantId t = static_cast<TenantId>(ti);
-                telemetry_->event(
-                    "tenant", {{"id", ti},
-                               {"name", tenants_->config(t).name},
-                               {"workload", tenants_->config(t).workload},
-                               {"weight", tenants_->weight(t)},
-                               {"cores", tenants_->coreCount(t)}});
-            }
-        }
-    }
-
     // Warmup: caches, predictors and counters learn; stats discarded.
     if (config_.warmupInstrPerCore > 0)
         runPhase(config_.warmupInstrPerCore);
@@ -501,7 +492,10 @@ System::run()
     if (telemetry_) {
         // Warmup-phase distributions would pollute the measured ones.
         telemetry_->resetHistograms();
-        telemetry_->event("measure_start");
+        if (trace_) {
+            trace_->controlInstant(PageJournal::kRunTrack,
+                                   "measure_start", eq_.now());
+        }
         telemetry_->startEpochs();
     }
     // The resize epoch clock runs over the measured phase only, so
@@ -529,8 +523,6 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
 {
     if (telemetry_)
         telemetry_->finishEpochs();
-    if (spans_)
-        spans_->finish(eq_.now());
 
     RunResult r;
     r.workload = config_.workload;
@@ -675,15 +667,17 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
         }
     }
 
-    if (telemetry_) {
+    if (telemetry_)
         r.histograms = telemetry_->summaries();
-        telemetry_->event("run_end",
-                          {{"instructions", r.instructions},
-                           {"cycles", r.cycles},
-                           {"ipc", r.ipc},
-                           {"missRate", r.missRate},
-                           {"finalActiveSlices", r.finalActiveSlices}});
+    if (trace_) {
+        trace_->controlInstant(PageJournal::kRunTrack, "run_end", eq_.now(),
+                               {{"instructions", r.instructions},
+                                {"cycles", r.cycles},
+                                {"ipc", r.ipc},
+                                {"missRate", r.missRate},
+                                {"finalActiveSlices", r.finalActiveSlices}});
         telemetry_->emitProfile();
+        trace_->finish(eq_.now());
     }
     return r;
 }

@@ -178,18 +178,16 @@ class System
     /** Telemetry façade, or nullptr when telemetry is disabled. */
     Telemetry *telemetry() { return telemetry_.get(); }
 
-    /** Span-trace journal, or nullptr when tracing is disabled. */
-    PageJournal *spanTrace() { return spans_.get(); }
-
     /** Zero every statistic (called at the warmup boundary). */
     void resetAllStats();
 
   private:
-    /** Build the telemetry façade and attach every hook. */
+    /** Build the telemetry façade (and the trace when the telemetry
+     *  path is set) and attach every hook. */
     void buildTelemetry();
 
-    /** Build the span-trace journal and attach every hook. */
-    void buildSpanTrace();
+    /** Build the run's trace and attach every span hook. */
+    void buildTrace();
 
     /** Run all cores until each reaches @p instrLimit. */
     void runPhase(std::uint64_t instrLimit);
@@ -206,8 +204,8 @@ class System
     std::unique_ptr<MemSystem> mem_;
     std::unique_ptr<BatmanController> batman_;
     std::unique_ptr<ResizeController> resize_;
+    std::unique_ptr<PageJournal> trace_; ///< outlives telemetry_
     std::unique_ptr<Telemetry> telemetry_;
-    std::unique_ptr<PageJournal> spans_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::vector<std::unique_ptr<AccessPattern>> patterns_;

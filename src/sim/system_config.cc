@@ -155,13 +155,4 @@ SystemConfig::withTelemetry(std::string path, Cycle epochCycles)
     return *this;
 }
 
-SystemConfig &
-SystemConfig::withSpanTrace(std::string path, std::uint32_t sampleShift)
-{
-    spans.enabled = true;
-    spans.path = std::move(path);
-    spans.sampleShift = sampleShift;
-    return *this;
-}
-
 } // namespace banshee

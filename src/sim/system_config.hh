@@ -31,7 +31,6 @@
 #include "schemes/batman.hh"
 #include "schemes/hma.hh"
 #include "schemes/unison.hh"
-#include "telemetry/span_trace.hh"
 #include "telemetry/telemetry_config.hh"
 #include "tenant/tenant.hh"
 
@@ -73,11 +72,9 @@ struct SystemConfig
     /** Dynamic DRAM-cache resizing (Banshee scheme only). */
     ResizeConfig resize;
 
-    /** Epoch-resolved telemetry (off by default: zero hot-path work). */
+    /** Epoch-resolved telemetry and the run's trace (off by default:
+     *  zero hot-path work). */
     TelemetryConfig telemetry;
-
-    /** Sampled page-lifecycle span tracing (off by default). */
-    SpanTraceConfig spans;
 
     /**
      * Multi-tenant mode: when non-empty, cores are split between the
@@ -173,22 +170,16 @@ struct SystemConfig
 
     /**
      * Enable epoch-resolved telemetry: metric time series, latency
-     * histograms and a structured JSONL event trace appended to
-     * @p path. @p epochCycles 0 keeps the default sampling cadence
+     * histograms and host-phase timers. A non-empty @p path also
+     * writes the run's trace (see telemetry/span_trace.hh): epoch
+     * counters, decision events and the page spans of
+     * 1/2^telemetry.sampleShift of all pages, as Chrome trace-event
+     * JSON loadable in Perfetto; a directory path holds one
+     * `<label>.trace.json` per run. An empty @p path keeps everything
+     * in memory. @p epochCycles 0 keeps the default sampling cadence
      * (the ResizeController's 20 us epoch).
      */
     SystemConfig &withTelemetry(std::string path, Cycle epochCycles = 0);
-
-    /**
-     * Enable causal page/request span tracing: 1/2^sampleShift of
-     * page frames (deterministic seeded hash) record their full
-     * lifecycle — access outcomes, FBR decisions, residency,
-     * channel queueing vs service, migration, quota changes — as
-     * Chrome trace-event JSON loadable in Perfetto. @p path may be a
-     * directory (one trace per run label). See telemetry/span_trace.hh.
-     */
-    SystemConfig &withSpanTrace(std::string path,
-                                std::uint32_t sampleShift = 6);
 };
 
 } // namespace banshee

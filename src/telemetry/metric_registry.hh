@@ -11,7 +11,7 @@
  * registered once at system build, then snapshotted on an epoch clock
  * into an in-memory time series. Values are cumulative-as-of-sample;
  * per-epoch rates are deltas between adjacent samples (computed by
- * consumers, e.g. scripts/telemetry_summary.py).
+ * consumers, e.g. scripts/trace_tool.py --timeline).
  *
  * The registry is dormant until start(): nothing is scheduled on the
  * event queue and no callback runs, so a disabled-telemetry system
@@ -102,7 +102,7 @@ class MetricRegistry
     /**
      * Start the epoch clock: one sample every @p epochCycles on
      * @p eq, until stop(). @p onSample (optional) observes each
-     * sample as it is taken (the trace sink hook).
+     * sample as it is taken (the trace hook).
      */
     void start(EventQueue &eq, Cycle epochCycles,
                std::function<void(const Sample &)> onSample = nullptr);

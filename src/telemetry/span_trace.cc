@@ -35,12 +35,11 @@ fmtUs(double us)
 
 } // namespace
 
-PageJournal::PageJournal(const SpanTraceConfig &config,
+PageJournal::PageJournal(const TelemetryConfig &config,
                          std::uint32_t pageBits, std::uint64_t seed)
-    : config_(config), pageBits_(pageBits), seed_(seed),
-      path_(resolveTracePath(config.path, config.runLabel, ".trace.json",
-                             /*perRun=*/true)),
-      writer_(path_)
+    : path_(resolveTracePath(config.path, config.runLabel)),
+      writer_(path_), sampleShift_(config.sampleShift), pageBits_(pageBits),
+      seed_(seed)
 {
     emitMeta(kPagesPid, 0, "process_name", "pages");
     emitMeta(kChannelsPid, 0, "process_name", "channels");
@@ -121,21 +120,6 @@ PageJournal::ensurePage(PageNum page)
                  it->second.asyncCat);
     }
     return it->second;
-}
-
-void
-PageJournal::runInfo(std::initializer_list<TraceField> args)
-{
-    emit(head("run_info", "i", kControlPid, 0, 0) + ", \"s\": \"t\"",
-         args);
-}
-
-void
-PageJournal::tenantInfo(std::uint32_t id, const std::string &name,
-                        double weight)
-{
-    emit(head("tenant", "i", kControlPid, 0, 0) + ", \"s\": \"t\"",
-         {{"id", id}, {"name", name}, {"weight", weight}});
 }
 
 void
@@ -260,7 +244,7 @@ PageJournal::controlEnd(std::uint32_t track, Cycle now,
 {
     lastCycle_ = std::max(lastCycle_, now);
     if (controlOpen_[track].empty()) {
-        warn_once("spans: controlEnd on '%s' with no open span",
+        warn_once("trace: controlEnd on '%s' with no open span",
                   controlTracks_[track].c_str());
         return;
     }
@@ -288,6 +272,18 @@ PageJournal::controlInstant(std::uint32_t track, const char *name,
     lastCycle_ = std::max(lastCycle_, now);
     emit(head(name, "i", kControlPid, track, now) + ", \"s\": \"t\"",
          args);
+}
+
+void
+PageJournal::runEvent(const char *name, char ph, Cycle now,
+                      const std::string &args)
+{
+    lastCycle_ = std::max(lastCycle_, now);
+    const char phase[2] = {ph, '\0'};
+    std::string line = head(name, phase, kControlPid, kRunTrack, now);
+    if (ph == 'i')
+        line += ", \"s\": \"t\"";
+    writer_.event(line + ", \"args\": " + args + "}");
 }
 
 void

@@ -1,22 +1,22 @@
 /**
  * @file
- * Causal page/request tracing: sampled lifecycle spans exported as
- * Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+ * The run's trace: one Chrome trace-event JSON file (loadable in
+ * Perfetto / chrome://tracing) holding the epoch metric series, the
+ * control plane's decisions and sampled page/request lifecycle spans.
  *
- * Epoch telemetry (telemetry.hh) shows aggregates; the PageJournal
- * answers *why a specific page behaved that way*: a deterministic
- * hash of the page number (seeded by the run seed) selects 1/2^shift
- * of all pages, and every layer a sampled page crosses — demand
- * fetch, tag-buffer lookup, FBR admit/reject with counter values,
+ * Epoch counters (telemetry.hh) show aggregates; the page spans answer
+ * *why a specific page behaved that way*: a deterministic hash of the
+ * page number (seeded by the run seed) selects 1/2^shift of all
+ * pages, and every layer a sampled page crosses — demand fetch,
+ * tag-buffer lookup, FBR admit/reject with counter values,
  * replacement fill, channel queueing vs bus service, migration
  * drain, resize remap, tenant quota reassignment, eviction + dirty
  * writeback — emits a span or instant on the page's own track.
  *
  * Sampling is a pure function of (page, seed, shift): no RNG state is
  * drawn, so tracing never perturbs the simulation, the sampled set is
- * identical across sweep thread counts, and spans-off runs are
- * byte-identical (every hook is a null-pointer check, the same
- * discipline the telemetry subsystem uses).
+ * identical across sweep thread counts, and untraced runs are
+ * byte-identical (every hook is a null-pointer check).
  *
  * Track layout (Chrome trace-event pid/tid conventions):
  *   pid 1 "pages"    — one tid per sampled page: "resident" B/E spans
@@ -26,10 +26,15 @@
  *   pid 2 "channels" — one tid per DRAM channel: async "queue" +
  *                      "service" slices per request touching a
  *                      sampled page (arrival->busStart->complete).
- *   pid 3 "control"  — resize/reassign transitions (B/E), migration
- *                      drain batches (X), per-tenant quota instants.
+ *   pid 3 "control"  — tid 0 "run": run_info, tenant, measure_start,
+ *                      run_end and profile instants, the "epoch"
+ *                      counter series (ph "C") and an "epoch_hists"
+ *                      instant per sample; "resize": policy decisions
+ *                      and resize/reassign transitions (B/E, the E
+ *                      is the commit); migration drain batches (X);
+ *                      per-tenant quota instants.
  *
- * scripts/spans_to_perfetto.py validates and summarizes the output.
+ * scripts/trace_tool.py validates, summarizes and merges the output.
  */
 
 #ifndef BANSHEE_TELEMETRY_SPAN_TRACE_HH
@@ -42,39 +47,24 @@
 
 #include "common/types.hh"
 #include "dram/traffic.hh"
+#include "telemetry/telemetry_config.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace banshee {
 
-/** Span tracing knobs (SystemConfig::spans, off by default). */
-struct SpanTraceConfig
-{
-    bool enabled = false;
-
-    /** Output path: a directory (trailing '/' or an existing dir)
-     *  writes one `<label>.trace.json` per run; a file path gets the
-     *  run label spliced in before its extension when the label is
-     *  set. Each System owns its file exclusively — no shared sink. */
-    std::string path;
-
-    /** Sample 1/2^sampleShift of all pages (0 = every page). */
-    std::uint32_t sampleShift = 6;
-
-    /** Experiment label for per-run file routing (stamped by the
-     *  sweep runner when left empty). */
-    std::string runLabel;
-};
-
 /**
- * The per-System journal of sampled page lifecycles. Built once at
- * System assembly; every hook holds a raw pointer that is null when
- * tracing is off. One journal owns one output file (per-run routing
- * guarantees exclusivity), so emission needs no locking.
+ * The per-System trace journal. Built once at System assembly when
+ * the telemetry path is set; every hook holds a raw pointer that is
+ * null when tracing is off. One journal owns one output file (per-run
+ * routing guarantees exclusivity), so emission needs no locking.
  */
 class PageJournal
 {
   public:
-    PageJournal(const SpanTraceConfig &config, std::uint32_t pageBits,
+    /** The control track of run-level events (run_info, epochs...). */
+    static constexpr std::uint32_t kRunTrack = 0;
+
+    PageJournal(const TelemetryConfig &config, std::uint32_t pageBits,
                 std::uint64_t seed);
     ~PageJournal();
 
@@ -92,7 +82,7 @@ class PageJournal
     bool
     sampledPage(PageNum page) const
     {
-        return sampled(page, seed_, config_.sampleShift);
+        return sampled(page, seed_, sampleShift_);
     }
 
     bool
@@ -105,13 +95,6 @@ class PageJournal
     std::uint32_t pageBits() const { return pageBits_; }
 
     const std::string &path() const { return path_; }
-
-    /** One-time run metadata instant on the control "run" track. */
-    void runInfo(std::initializer_list<TraceField> args);
-
-    /** Tenant id -> name mapping for the summary script. */
-    void tenantInfo(std::uint32_t id, const std::string &name,
-                    double weight);
 
     // ----------------------------------------------------- page tracks
 
@@ -167,6 +150,12 @@ class PageJournal
     void controlInstant(std::uint32_t track, const char *name, Cycle now,
                         std::initializer_list<TraceField> args = {});
 
+    /** Event of phase @p ph ('C' counter or 'i' instant) on the run
+     *  track whose args object @p args (`{...}`) is pre-serialized:
+     *  epoch counters, histogram states, the host-time profile. */
+    void runEvent(const char *name, char ph, Cycle now,
+                  const std::string &args);
+
     /**
      * Close every still-open span (pages resident at run end, a
      * transition in flight) so each begin has an end, and flush the
@@ -195,11 +184,11 @@ class PageJournal
     void emitMeta(std::uint32_t pid, std::uint64_t tid,
                   const char *metaName, const std::string &value);
 
-    SpanTraceConfig config_;
-    std::uint32_t pageBits_;
-    std::uint64_t seed_;
     std::string path_;
     ChromeTraceWriter writer_;
+    std::uint32_t sampleShift_;
+    std::uint32_t pageBits_;
+    std::uint64_t seed_;
 
     std::map<PageNum, PageState> pages_;
     std::uint64_t nextPageTid_ = 0;

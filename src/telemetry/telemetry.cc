@@ -3,21 +3,15 @@
 #include <cstdio>
 
 #include "common/log.hh"
+#include "telemetry/span_trace.hh"
 
 namespace banshee {
 
-Telemetry::Telemetry(EventQueue &eq, const TelemetryConfig &config)
-    : eq_(eq), config_(config),
-      runLabel_(config.runLabel.empty() ? "run" : config.runLabel)
+Telemetry::Telemetry(EventQueue &eq, const TelemetryConfig &config,
+                     PageJournal *trace)
+    : eq_(eq), epochCycles_(config.epochCycles), trace_(trace)
 {
     sim_assert(config.enabled, "Telemetry built while disabled");
-    // An empty path keeps the in-memory side (histograms, timers,
-    // summaries()) without a JSONL sink — benches that only want
-    // end-of-run percentiles use this to skip the file.
-    const std::string resolved = resolveTracePath(
-        config.path, config.runLabel, ".jsonl", /*perRun=*/false);
-    if (!resolved.empty())
-        sink_ = TraceSink::shared(resolved);
 }
 
 Histogram &
@@ -54,14 +48,6 @@ Telemetry::nameTenantQueueLatency(std::size_t bucket,
 }
 
 void
-Telemetry::event(const char *type,
-                 std::initializer_list<TraceField> fields)
-{
-    if (sink_)
-        sink_->event(runLabel_, eq_.now(), type, fields);
-}
-
-void
 Telemetry::resetHistograms()
 {
     for (auto &h : owned_)
@@ -79,10 +65,10 @@ Telemetry::resetHistograms()
 void
 Telemetry::startEpochs()
 {
-    registry_.start(eq_, config_.epochCycles,
+    registry_.start(eq_, epochCycles_,
                     [this](const MetricRegistry::Sample &s) {
-                        if (sink_)
-                            sink_->writeLine(epochJson(s));
+                        if (trace_)
+                            traceSample(s);
                     });
     // Baseline sample at the measure boundary: epoch 0 carries the
     // post-reset cumulative state, so every later epoch (including the
@@ -102,22 +88,18 @@ Telemetry::finishEpochs()
 void
 Telemetry::emitProfile()
 {
-    if (!sink_)
+    if (!trace_)
         return;
-    std::string json = "{\"run\": \"" + jsonEscape(runLabel_) +
-                       "\", \"cycle\": " + std::to_string(eq_.now()) +
-                       ", \"event\": \"profile\", \"timers\": {";
-    bool first = true;
+    std::string json = "{";
     for (const auto &kv : registry_.timers()) {
-        if (!first)
+        if (json.size() > 1)
             json += ", ";
-        first = false;
         json += "\"" + jsonEscape(kv.first) +
                 "\": {\"ns\": " + std::to_string(kv.second.ns) +
                 ", \"calls\": " + std::to_string(kv.second.calls) + "}";
     }
-    json += "}}";
-    sink_->writeLine(json);
+    json += "}";
+    trace_->runEvent("profile", 'i', eq_.now(), json);
 }
 
 std::vector<HistogramSummary>
@@ -134,13 +116,10 @@ Telemetry::summaries() const
     return out;
 }
 
-std::string
-Telemetry::epochJson(const MetricRegistry::Sample &s) const
+void
+Telemetry::traceSample(const MetricRegistry::Sample &s)
 {
-    std::string json = "{\"run\": \"" + jsonEscape(runLabel_) +
-                       "\", \"cycle\": " + std::to_string(s.cycle) +
-                       ", \"event\": \"epoch\", \"epoch\": " +
-                       std::to_string(s.epoch) + ", \"metrics\": {";
+    std::string json = "{";
     const auto &names = registry_.metricNames();
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (i > 0)
@@ -149,7 +128,10 @@ Telemetry::epochJson(const MetricRegistry::Sample &s) const
         std::snprintf(buf, sizeof(buf), "%.6f", s.values[i]);
         json += "\"" + jsonEscape(names[i]) + "\": " + buf;
     }
-    json += "}, \"hists\": {";
+    json += "}";
+    trace_->runEvent("epoch", 'C', s.cycle, json);
+
+    json = "{";
     const auto &hnames = registry_.histNames();
     for (std::size_t i = 0; i < hnames.size(); ++i) {
         if (i > 0)
@@ -166,8 +148,8 @@ Telemetry::epochJson(const MetricRegistry::Sample &s) const
         }
         json += "]}";
     }
-    json += "}}";
-    return json;
+    json += "}";
+    trace_->runEvent("epoch_hists", 'i', s.cycle, json);
 }
 
 } // namespace banshee

@@ -1,15 +1,16 @@
 /**
  * @file
  * The per-run telemetry facade: one MetricRegistry (epoch-sampled
- * time series + phase timers), the owned histograms hot paths record
- * into, and the shared TraceSink the run's structured events go to.
+ * time series + phase timers) and the owned histograms hot paths
+ * record into.
  *
  * A System builds one Telemetry instance when its TelemetryConfig is
- * enabled and wires the hooks (DRAM channels, migration engines, the
- * resize controller); everything stays null/dormant otherwise. Epoch
- * samples are serialized into the trace as "epoch" events, so the
- * JSONL file carries the full timeline: metrics, histogram states,
- * and the decision events interleaved between them.
+ * enabled and wires the hooks (DRAM channels, migration engines);
+ * everything stays null/dormant otherwise. When the run is traced,
+ * each epoch sample goes into the run's trace (span_trace.hh) as an
+ * "epoch" counter event plus an "epoch_hists" instant, so the file
+ * carries the full timeline: metrics, histogram states, and the
+ * decision events interleaved between them.
  */
 
 #ifndef BANSHEE_TELEMETRY_TELEMETRY_HH
@@ -25,22 +26,20 @@
 #include "telemetry/histogram.hh"
 #include "telemetry/metric_registry.hh"
 #include "telemetry/telemetry_config.hh"
-#include "telemetry/trace_sink.hh"
 
 namespace banshee {
+
+class PageJournal;
 
 class Telemetry
 {
   public:
-    Telemetry(EventQueue &eq, const TelemetryConfig &config);
-
-    const std::string &runLabel() const { return runLabel_; }
+    /** @p trace receives the epoch samples and the profile; null
+     *  keeps everything in memory (histograms, timers, summaries()). */
+    Telemetry(EventQueue &eq, const TelemetryConfig &config,
+              PageJournal *trace);
 
     MetricRegistry &registry() { return registry_; }
-
-    /** The JSONL sink, or null when the config path is empty (the
-     *  in-memory-only mode: histograms and summaries() still work). */
-    TraceSink *sink() { return sink_.get(); }
 
     /** Create (or fetch) an owned histogram registered as @p name. */
     Histogram &histogram(const std::string &name);
@@ -63,10 +62,6 @@ class Telemetry
         return &registry_.timer(name);
     }
 
-    /** Emit one structured event stamped with run label + cycle. */
-    void event(const char *type,
-               std::initializer_list<TraceField> fields = {});
-
     /** Warmup boundary: clear histograms so measured-phase
      *  distributions start clean (timers are host-profile data and
      *  keep accumulating). */
@@ -78,19 +73,19 @@ class Telemetry
     /** Final sample + stop the clock (end of the measured phase). */
     void finishEpochs();
 
-    /** Emit the "profile" event holding the phase-timer totals. */
+    /** Trace the "profile" instant holding the phase-timer totals. */
     void emitProfile();
 
     /** End-of-run digests of every registered histogram. */
     std::vector<HistogramSummary> summaries() const;
 
   private:
-    std::string epochJson(const MetricRegistry::Sample &s) const;
+    /** Trace one sample: metric counters, then histogram states. */
+    void traceSample(const MetricRegistry::Sample &s);
 
     EventQueue &eq_;
-    TelemetryConfig config_;
-    std::string runLabel_;
-    std::shared_ptr<TraceSink> sink_;
+    Cycle epochCycles_;
+    PageJournal *trace_;
     MetricRegistry registry_;
 
     std::vector<std::unique_ptr<Histogram>> owned_;

@@ -1,16 +1,18 @@
 /**
  * @file
- * Configuration of the epoch-resolved telemetry subsystem.
+ * Configuration of the telemetry subsystem and of the run's trace.
  *
  * Disabled by default: with enabled == false the System builds no
- * registry, schedules no sampling events and attaches no histogram
- * hooks, so the simulated machine (and every bench's --json output)
- * is bit-identical to a build without telemetry.
+ * registry, schedules no sampling events, attaches no histogram
+ * hooks and writes no trace, so the simulated machine (and every
+ * bench's --json output) is bit-identical to a build without
+ * telemetry.
  */
 
 #ifndef BANSHEE_TELEMETRY_TELEMETRY_CONFIG_HH
 #define BANSHEE_TELEMETRY_TELEMETRY_CONFIG_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/types.hh"
@@ -22,9 +24,14 @@ struct TelemetryConfig
 {
     bool enabled = false;
 
-    /** JSONL trace output path. Several concurrent runs may share one
-     *  path (bench sweeps): they append through one shared sink and
-     *  every event line carries its run's label. */
+    /**
+     * Trace output. Empty keeps telemetry in memory (registry,
+     * histograms, phase timers, summaries()) and writes no file.
+     * Otherwise the run writes one Chrome trace-event file: a
+     * directory (trailing '/' or an existing directory) holds one
+     * `<label>.trace.json` per run; a file path gets "-<label>"
+     * spliced in before its extension when the label is set.
+     */
     std::string path;
 
     /**
@@ -34,8 +41,13 @@ struct TelemetryConfig
      */
     Cycle epochCycles = usToCycles(20.0);
 
-    /** Label identifying this run in a shared trace (the experiment
-     *  label; stamped by the runner when left empty). */
+    /** The trace's page spans follow 1/2^sampleShift of all pages
+     *  (0 = every page). */
+    std::uint32_t sampleShift = 6;
+
+    /** The run's label: names its trace file and its run_info event.
+     *  The sweep runner stamps the experiment label (the bench JSON
+     *  result label) when left empty. */
     std::string runLabel;
 };
 

@@ -4,7 +4,6 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <map>
 
 #include "common/log.hh"
 
@@ -106,9 +105,9 @@ isDirectory(const std::string &path)
 } // namespace
 
 std::string
-resolveTracePath(const std::string &path, const std::string &label,
-                 const std::string &ext, bool perRun)
+resolveTracePath(const std::string &path, const std::string &label)
 {
+    static const std::string kExt = ".trace.json";
     if (path.empty())
         return path;
     const std::string name =
@@ -119,18 +118,18 @@ resolveTracePath(const std::string &path, const std::string &label,
             dir.pop_back();
         if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
             fatal("trace: cannot create directory '%s'", dir.c_str());
-        return dir + "/" + name + ext;
+        return dir + "/" + name + kExt;
     }
-    if (!perRun || label.empty())
+    if (label.empty())
         return path;
     // Splice "-<label>" before the file extension (if any) so each
     // experiment of a sweep gets a private file. Prefer the full
     // canonical extension ("x.trace.json" -> "x-<label>.trace.json"),
     // falling back to the last dot for other suffixes.
-    if (!ext.empty() && path.size() > ext.size() &&
-        path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
-        return path.substr(0, path.size() - ext.size()) + "-" + name +
-               ext;
+    if (path.size() > kExt.size() &&
+        path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0) {
+        return path.substr(0, path.size() - kExt.size()) + "-" + name +
+               kExt;
     }
     const std::size_t slash = path.find_last_of('/');
     const std::size_t dot = path.find_last_of('.');
@@ -140,69 +139,11 @@ resolveTracePath(const std::string &path, const std::string &label,
     return path.substr(0, dot) + "-" + name + path.substr(dot);
 }
 
-std::shared_ptr<TraceSink>
-TraceSink::shared(const std::string &path)
-{
-    // Sinks live for the rest of the process so a path reopened by a
-    // later experiment batch appends instead of truncating the
-    // earlier batch's events.
-    static std::mutex mapMutex;
-    static std::map<std::string, std::shared_ptr<TraceSink>> sinks;
-    std::lock_guard<std::mutex> lock(mapMutex);
-    auto it = sinks.find(path);
-    if (it == sinks.end())
-        it = sinks.emplace(path, std::make_shared<TraceSink>(path)).first;
-    return it->second;
-}
-
-TraceSink::TraceSink(const std::string &path)
-    : path_(path), file_(std::fopen(path.c_str(), "w"))
-{
-    if (file_ == nullptr)
-        fatal("telemetry: cannot open '%s' for writing", path.c_str());
-}
-
-TraceSink::~TraceSink()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-TraceSink::event(const std::string &run, Cycle cycle, const char *type,
-                 std::initializer_list<TraceField> fields)
-{
-    std::string line = "{\"run\": \"" + jsonEscape(run) +
-                       "\", \"cycle\": " + std::to_string(cycle) +
-                       ", \"event\": \"" + jsonEscape(type) + "\"";
-    for (const TraceField &f : fields) {
-        line += ", ";
-        line += f.json();
-    }
-    line += "}";
-    writeLine(line);
-}
-
-void
-TraceSink::writeLine(const std::string &json)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::fprintf(file_, "%s\n", json.c_str()) < 0) {
-        warn_once("telemetry: write to '%s' failed; further failures "
-                  "are silent",
-                  path_.c_str());
-        return;
-    }
-    // Flush per line: concurrent runs interleave whole lines and a
-    // crashed run still leaves a parseable trace.
-    std::fflush(file_);
-}
-
 ChromeTraceWriter::ChromeTraceWriter(const std::string &path)
     : path_(path), file_(std::fopen(path.c_str(), "w"))
 {
     if (file_ == nullptr)
-        fatal("spans: cannot open '%s' for writing", path.c_str());
+        fatal("trace: cannot open '%s' for writing", path.c_str());
     std::fprintf(file_, "[\n");
 }
 
@@ -215,7 +156,7 @@ ChromeTraceWriter::event(const std::string &json)
         return;
     if (std::fprintf(file_, "%s%s", first_ ? "" : ",\n", json.c_str()) <
         0) {
-        warn_once("spans: write to '%s' failed; further failures are "
+        warn_once("trace: write to '%s' failed; further failures are "
                   "silent",
                   path_.c_str());
         return;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Span-trace invariants: the sampler is a pure seeded hash (identical
+ * Trace invariants: the sampler is a pure seeded hash (identical
  * sampled sets regardless of thread count or call order), tracing off
  * leaves simulation results bit-identical, sweeps route each
- * experiment to its own trace file whose bytes do not depend on the
- * worker-thread count, and the emitted files are well-formed Chrome
+ * experiment to its own trace file whose bytes (bar the host-time
+ * profile) do not depend on the worker-thread count, each decision
+ * appears once, and the emitted files are well-formed Chrome
  * trace-event JSON.
  */
 
@@ -83,20 +84,18 @@ TEST(SpanTracePath, LabelSanitizedAndDirectoriesCreated)
     EXPECT_EQ(sanitizeRunLabel("a/b c:d"), "a_b_c_d");
     EXPECT_EQ(sanitizeRunLabel("ok-1.2_x"), "ok-1.2_x");
 
-    // Plain file + perRun: the label splices in before the extension.
-    EXPECT_EQ(resolveTracePath("out.trace.json", "w/x", ".trace.json",
-                               true),
+    // Plain file: the label splices in before the extension.
+    EXPECT_EQ(resolveTracePath("out.trace.json", "w/x"),
               "out-w_x.trace.json");
-    // Non-perRun file paths pass through untouched (shared sinks).
-    EXPECT_EQ(resolveTracePath("out.jsonl", "w/x", ".jsonl", false),
-              "out.jsonl");
-    EXPECT_EQ(resolveTracePath("", "w", ".jsonl", false), "");
+    EXPECT_EQ(resolveTracePath("out.json", "w"), "out-w.json");
+    // Unlabelled file paths pass through untouched.
+    EXPECT_EQ(resolveTracePath("out.trace.json", ""), "out.trace.json");
+    EXPECT_EQ(resolveTracePath("", "w"), "");
 
     // Directory path: created on demand, one file per label.
     const std::string dir = ::testing::TempDir() + "span_path_dir";
     std::remove((dir + "/lbl.trace.json").c_str());
-    const std::string p =
-        resolveTracePath(dir + "/", "lbl", ".trace.json", true);
+    const std::string p = resolveTracePath(dir + "/", "lbl");
     EXPECT_EQ(p, dir + "/lbl.trace.json");
     std::FILE *f = std::fopen(p.c_str(), "w");
     ASSERT_NE(f, nullptr) << "directory was not created";
@@ -114,13 +113,58 @@ tinyConfig()
     return c;
 }
 
+/** Trace @p c into @p path with page spans of 1/2^shift of pages. */
+void
+traceInto(SystemConfig &c, const std::string &path,
+          std::uint32_t sampleShift = 2)
+{
+    c.withTelemetry(path);
+    c.telemetry.sampleShift = sampleShift;
+}
+
+/**
+ * Two tenants under the QoS arbiter whose slice layout was apportioned
+ * for a 3:1 quota while the weights say 1:1: the arbiter reassigns
+ * slices during the measured phase.
+ */
+SystemConfig
+rebalancingTenants()
+{
+    SystemConfig c = SystemConfig::testDefault();
+    c.numCores = 4;
+    c.mem.inPkgCapacity = 4ull << 20;
+    c.hierarchy.l3Size = 512 * 1024;
+    c.autoWarmup = false;
+    c.warmupInstrPerCore = 100'000;
+    c.measureInstrPerCore = 300'000;
+    c.withTenants({{"resident", "qos_resident", 1.0, 2},
+                   {"churn", "qos_churn", 1.0, 2}});
+    c.withQosArbiter();
+    c.resize.tenantWeights = {3.0, 1.0};
+    return c;
+}
+
+/** The file without its host-time "profile" line (wall-clock data). */
+std::string
+withoutProfile(const std::string &trace)
+{
+    std::istringstream in(trace);
+    std::string out;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.find("{\"name\": \"profile\"") != 0)
+            out += line + "\n";
+    }
+    return out;
+}
+
 TEST(SpanTrace, TracingDoesNotPerturbSimulation)
 {
     SystemConfig plain = tinyConfig();
     const std::string path =
         ::testing::TempDir() + "span_perturb.trace.json";
     SystemConfig traced = tinyConfig();
-    traced.withSpanTrace(path, /*sampleShift=*/2);
+    traceInto(traced, path);
 
     RunResult a = System(plain).run();
     RunResult b = System(traced).run();
@@ -138,7 +182,7 @@ TEST(SpanTrace, WellFormedAndCausallyComplete)
     const std::string path =
         ::testing::TempDir() + "span_wellformed.trace.json";
     SystemConfig c = tinyConfig();
-    c.withSpanTrace(path, /*sampleShift=*/2);
+    traceInto(c, path);
     {
         System sys(c);
         sys.run();
@@ -156,15 +200,21 @@ TEST(SpanTrace, WellFormedAndCausallyComplete)
               countOccurrences(trace, "\"ph\": \"e\""));
 
     // The causal chain's landmarks all appear: sampled accesses,
-    // fetch spans, channel queue/service slices, residency spans and
-    // named tracks.
+    // fetch spans, channel queue/service slices, residency spans,
+    // named tracks, the epoch series and the run's bookends.
     EXPECT_GT(countOccurrences(trace, "\"name\": \"access\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"fetch\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"queue\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"service\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"resident\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"thread_name\""), 0u);
-    EXPECT_GT(countOccurrences(trace, "\"name\": \"run_info\""), 0u);
+    EXPECT_EQ(countOccurrences(trace, "\"name\": \"run_info\""), 1u);
+    EXPECT_GT(countOccurrences(trace, "\"ph\": \"C\""), 1u);
+    EXPECT_EQ(countOccurrences(trace, "\"ph\": \"C\""),
+              countOccurrences(trace, "\"name\": \"epoch_hists\""));
+    EXPECT_EQ(countOccurrences(trace, "\"name\": \"measure_start\""), 1u);
+    EXPECT_EQ(countOccurrences(trace, "\"name\": \"run_end\""), 1u);
+    EXPECT_EQ(countOccurrences(trace, "\"name\": \"profile\""), 1u);
     std::remove(path.c_str());
 }
 
@@ -172,12 +222,12 @@ TEST(SpanTrace, SweepRoutesPerLabelAndIsThreadCountInvariant)
 {
     auto sweepInto = [](const std::string &dir, unsigned threads) {
         std::vector<Experiment> exps;
-        for (const char *wl : {"pagerank", "libquantum"}) {
-            SystemConfig c = tinyConfig();
-            c.workload = wl;
-            c.withSpanTrace(dir + "/", /*sampleShift=*/2);
-            exps.push_back({std::string(wl) + "/Banshee", c});
-        }
+        SystemConfig c = tinyConfig();
+        traceInto(c, dir + "/");
+        exps.push_back({"pagerank/Banshee", c});
+        SystemConfig q = rebalancingTenants();
+        traceInto(q, dir + "/", 4);
+        exps.push_back({"tenants/qos", q});
         runSweep(exps, threads, nullptr, false);
     };
 
@@ -187,15 +237,51 @@ TEST(SpanTrace, SweepRoutesPerLabelAndIsThreadCountInvariant)
     sweepInto(dir2, 2);
 
     for (const char *name :
-         {"pagerank_Banshee.trace.json", "libquantum_Banshee.trace.json"}) {
+         {"pagerank_Banshee.trace.json", "tenants_qos.trace.json"}) {
         const std::string a = slurp(dir1 + "/" + name);
         const std::string b = slurp(dir2 + "/" + name);
         EXPECT_FALSE(a.empty()) << name;
-        EXPECT_EQ(a, b) << name
-                        << ": trace bytes depend on worker threads";
+        EXPECT_EQ(countOccurrences(a, "\"name\": \"profile\""), 1u);
+        EXPECT_EQ(withoutProfile(a), withoutProfile(b))
+            << name << ": trace bytes depend on worker threads";
         std::remove((dir1 + "/" + name).c_str());
         std::remove((dir2 + "/" + name).c_str());
     }
+}
+
+TEST(SpanTrace, EachReassignDecisionAppearsOnce)
+{
+    const std::string path =
+        ::testing::TempDir() + "span_reassign.trace.json";
+    SystemConfig c = rebalancingTenants();
+    traceInto(c, path, 4);
+    const RunResult r = System(c).run();
+    ASSERT_GE(r.qosReassigns, 2u);
+
+    // The arbiter's decision is one "qos_reassign" instant; the
+    // transition it starts is one "reassign" span, opened at the same
+    // cycle, whose end is the commit.
+    std::istringstream in(slurp(path));
+    std::vector<std::string> decisions;
+    std::vector<std::string> starts;
+    std::size_t commits = 0;
+    auto tsOf = [](const std::string &line) {
+        const std::size_t at = line.find("\"ts\": ") + 6;
+        return line.substr(at, line.find(',', at) - at);
+    };
+    for (std::string line; std::getline(in, line);) {
+        if (line.find("{\"name\": \"qos_reassign\", \"ph\": \"i\"") == 0)
+            decisions.push_back(tsOf(line));
+        else if (line.find("{\"name\": \"reassign\", \"ph\": \"B\"") == 0)
+            starts.push_back(tsOf(line));
+        else if (line.find("{\"name\": \"reassign\", \"ph\": \"E\"") == 0 &&
+                 line.find("\"truncated\"") == std::string::npos)
+            ++commits;
+        EXPECT_EQ(line.find("qos_decision"), std::string::npos);
+    }
+    EXPECT_EQ(decisions, starts);
+    EXPECT_EQ(commits, r.qosReassigns);
+    std::remove(path.c_str());
 }
 
 } // namespace

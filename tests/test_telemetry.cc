@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for src/telemetry: histogram bucket math and
- * percentiles, the epoch sampler's cadence, the JSONL trace schema,
- * and the off-by-default guarantee (telemetry must not perturb a
- * run's results).
+ * percentiles, the epoch sampler's cadence, the trace's event
+ * encoding (escaping, epoch counters, histogram states), and the
+ * off-by-default guarantee (telemetry must not perturb a run's
+ * results).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "telemetry/histogram.hh"
 #include "telemetry/metric_registry.hh"
 #include "telemetry/scoped_timer.hh"
+#include "telemetry/span_trace.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -189,63 +192,129 @@ TEST(ScopedTimer, NullTimerIsNoop)
     EXPECT_EQ(timer.calls, 1u);
 }
 
-TEST(TraceSink, JsonlSchemaRoundTrip)
+/** Lines of a trace file holding events named @p name. */
+std::vector<std::string>
+eventsNamed(const std::vector<std::string> &lines, const std::string &name)
 {
-    const std::string path = tempPath("trace_roundtrip.jsonl");
+    std::vector<std::string> out;
+    for (const auto &line : lines) {
+        if (line.find("{\"name\": \"" + name + "\"") == 0)
+            out.push_back(line.back() == ',' ? line.substr(0, line.size() - 1)
+                                             : line);
+    }
+    return out;
+}
+
+TEST(TraceEvents, FieldsAndLabelsAreEscaped)
+{
+    const std::string path = tempPath("trace_escape.trace.json");
     {
-        TraceSink sink(path);
-        sink.event("runA", 42, "resize_start",
-                   {{"from", 8u}, {"to", 6u}, {"strategy", "ch"},
-                    {"frac", 0.75}});
-        sink.event("run\"B\\", 43, "plain", {});
+        TelemetryConfig config;
+        config.enabled = true;
+        config.path = path;
+        PageJournal trace(config, 12, 1);
+        trace.controlInstant(PageJournal::kRunTrack, "run_info", 0,
+                             {{"label", "run\"B\\"},
+                              {"to", 6u},
+                              {"strategy", "ch"},
+                              {"frac", 0.75}});
+        trace.controlInstant(PageJournal::kRunTrack, "plain", 2700);
     }
 
     const auto lines = readLines(path);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0],
-              "{\"run\": \"runA\", \"cycle\": 42, "
-              "\"event\": \"resize_start\", \"from\": 8, \"to\": 6, "
-              "\"strategy\": \"ch\", \"frac\": 0.75}");
+    ASSERT_GE(lines.size(), 3u);
+    EXPECT_EQ(lines.front(), "[");
+    EXPECT_EQ(lines.back(), "]");
     // Quotes and backslashes in labels must be escaped.
-    EXPECT_EQ(lines[1],
-              "{\"run\": \"run\\\"B\\\\\", \"cycle\": 43, "
-              "\"event\": \"plain\"}");
+    const auto info = eventsNamed(lines, "run_info");
+    ASSERT_EQ(info.size(), 1u);
+    EXPECT_EQ(info[0],
+              "{\"name\": \"run_info\", \"ph\": \"i\", \"pid\": 3, "
+              "\"tid\": 0, \"ts\": 0.0000, \"s\": \"t\", \"args\": "
+              "{\"label\": \"run\\\"B\\\\\", \"to\": 6, "
+              "\"strategy\": \"ch\", \"frac\": 0.75}}");
+    const auto plain = eventsNamed(lines, "plain");
+    ASSERT_EQ(plain.size(), 1u);
+    EXPECT_EQ(plain[0], "{\"name\": \"plain\", \"ph\": \"i\", "
+                        "\"pid\": 3, \"tid\": 0, \"ts\": 1.0000, "
+                        "\"s\": \"t\"}");
 }
 
-TEST(Telemetry, EpochEventsCarryMetricsAndHistograms)
+TEST(Telemetry, EpochCountersCarryMetricsAndHistograms)
 {
-    const std::string path = tempPath("trace_epochs.jsonl");
+    const std::string path = tempPath("trace_epochs.trace.json");
     {
         EventQueue eq;
         TelemetryConfig config;
         config.enabled = true;
         config.path = path;
-        config.epochCycles = 50;
-        config.runLabel = "unit";
-        Telemetry telem(eq, config);
+        config.epochCycles = 2700; // 1 us
+        PageJournal trace(config, 12, 1);
+        Telemetry telem(eq, config, &trace);
 
         Histogram &lat = telem.histogram("lat");
         telem.registry().addGauge("g", [] { return 1.5; });
         lat.record(3);
         telem.startEpochs();
-        eq.run(120);
+        eq.run(6000);
         telem.finishEpochs();
     }
 
     const auto lines = readLines(path);
-    // Baseline sample + two epochs + the closing sample.
-    ASSERT_EQ(lines.size(), 4u);
-    for (const auto &line : lines) {
-        EXPECT_NE(line.find("\"run\": \"unit\""), std::string::npos);
-        EXPECT_NE(line.find("\"event\": \"epoch\""), std::string::npos);
-        EXPECT_NE(line.find("\"g\": 1.500000"), std::string::npos);
-        EXPECT_NE(line.find("\"lat\": {\"count\": 1, \"sum\": 3, "
-                            "\"max\": 3, \"buckets\": [0, 0, 1]}"),
-                  std::string::npos);
+    const auto counters = eventsNamed(lines, "epoch");
+    const auto hists = eventsNamed(lines, "epoch_hists");
+    // Baseline sample + two epochs + the closing sample, taken at the
+    // last event the queue ran (the 5400-cycle epoch tick).
+    ASSERT_EQ(counters.size(), 4u);
+    ASSERT_EQ(hists.size(), 4u);
+    const char *ts[] = {"0.0000", "1.0000", "2.0000", "2.0000"};
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        EXPECT_EQ(counters[i],
+                  std::string("{\"name\": \"epoch\", \"ph\": \"C\", "
+                              "\"pid\": 3, \"tid\": 0, \"ts\": ") +
+                      ts[i] + ", \"args\": {\"g\": 1.500000}}");
+        EXPECT_EQ(hists[i],
+                  std::string("{\"name\": \"epoch_hists\", \"ph\": \"i\", "
+                              "\"pid\": 3, \"tid\": 0, \"ts\": ") +
+                      ts[i] +
+                      ", \"s\": \"t\", \"args\": {\"lat\": {\"count\": 1, "
+                      "\"sum\": 3, \"max\": 3, \"buckets\": [0, 0, 1]}}}");
     }
-    EXPECT_NE(lines[0].find("\"epoch\": 0"), std::string::npos);
-    EXPECT_NE(lines[1].find("\"cycle\": 50"), std::string::npos);
-    EXPECT_NE(lines[2].find("\"cycle\": 100"), std::string::npos);
+}
+
+TEST(Telemetry, UnpartitionedTenantsHaveNoSliceSeries)
+{
+    // Without a resize controller the tenants share every slice: a
+    // per-tenant slice count would read 0 while each tenant uses all
+    // of them, so the series must not exist (as activeSlices).
+    const std::vector<TenantConfig> mix = {
+        {"resident", "qos_resident", 1.0, 2},
+        {"churn", "qos_churn", 1.0, 2}};
+    auto hasMetric = [](System &sys, const std::string &name) {
+        const auto &names = sys.telemetry()->registry().metricNames();
+        return std::find(names.begin(), names.end(), name) != names.end();
+    };
+
+    SystemConfig shared = SystemConfig::testDefault();
+    shared.numCores = 4;
+    shared.withTenants(mix, /*partition=*/false).withTelemetry("");
+    System sharedSys(shared);
+    EXPECT_EQ(sharedSys.resizeController(), nullptr);
+    EXPECT_TRUE(hasMetric(sharedSys, "tenant.resident.accesses"));
+    for (const auto &name : sharedSys.telemetry()->registry().metricNames()) {
+        EXPECT_FALSE(name.rfind("tenant.", 0) == 0 &&
+                     name.size() > 7 &&
+                     name.compare(name.size() - 7, 7, ".slices") == 0)
+            << name;
+    }
+
+    SystemConfig part = SystemConfig::testDefault();
+    part.numCores = 4;
+    part.withTenants(mix).withTelemetry("");
+    System partSys(part);
+    ASSERT_NE(partSys.resizeController(), nullptr);
+    EXPECT_TRUE(hasMetric(partSys, "tenant.resident.slices"));
+    EXPECT_TRUE(hasMetric(partSys, "tenant.churn.slices"));
 }
 
 TEST(Telemetry, DisabledByDefaultLeavesResultsIdentical)
@@ -259,7 +328,7 @@ TEST(Telemetry, DisabledByDefaultLeavesResultsIdentical)
     EXPECT_FALSE(off.telemetry.enabled);
 
     SystemConfig on = off;
-    on.withTelemetry(tempPath("trace_identity.jsonl"), usToCycles(5.0));
+    on.withTelemetry(tempPath("trace_identity.trace.json"), usToCycles(5.0));
     EXPECT_TRUE(on.telemetry.enabled);
 
     System offSys(off);
