@@ -45,7 +45,8 @@ def epoch(ts, accesses, misses, queue_buckets):
 
 
 def good_trace():
-    """A small well-formed trace: two epochs, a reassign, a page."""
+    """A small well-formed trace: two epochs, a reassign, a resize
+    cut off by the run end, a page."""
     events = [
         meta(1, 0, "process_name", "pages"),
         meta(2, 0, "process_name", "channels"),
@@ -69,6 +70,10 @@ def good_trace():
          "cat": "page 0x1", "id": "0"},
         {"name": "drain_batch", "ph": "X", "pid": 3, "tid": 2,
          "ts": 1.1, "dur": 0.2},
+        # A transition still open at run end, closed by the writer.
+        {"name": "resize", "ph": "B", "pid": 3, "tid": 1, "ts": 1.8},
+        {"name": "resize", "ph": "E", "pid": 3, "tid": 1, "ts": 2.0,
+         "args": {"truncated": 1}},
         instant("run_end", 0, 2.0, {"ipc": 1.0}),
         instant("profile", 0, 2.0, {"host.eventQueue": {"ns": 5,
                                                         "calls": 1}}),
@@ -115,6 +120,22 @@ class Check(unittest.TestCase):
         events.remove(next(ev for ev in events
                            if ev["name"] == "epoch_hists"))
         self.assertTrue(any("epoch_hists" in p
+                            for p in self.problems(events)))
+
+    def test_out_of_order_epoch_counters_fail(self):
+        events = good_trace()
+        first = events.index(next(ev for ev in events
+                                  if ev["name"] == "epoch"))
+        # Swap the two epoch samples (counter + histograms each).
+        events[first:first + 4] = (events[first + 2:first + 4]
+                                   + events[first:first + 2])
+        self.assertTrue(any("not in time order" in p
+                            for p in self.problems(events)))
+
+    def test_epoch_hists_off_their_counter_fail(self):
+        events = good_trace()
+        next(ev for ev in events if ev["name"] == "epoch_hists")["ts"] = 0.5
+        self.assertTrue(any("off their ts" in p
                             for p in self.problems(events)))
 
 
@@ -176,9 +197,23 @@ class Cli(unittest.TestCase):
         self.assertIn("qos_reassign", out)
         self.assertIn("reassign_start", out)
         self.assertIn("reassign_commit", out)
+        self.assertIn("resize_truncated", out)
+        self.assertNotIn("resize_commit", out)
         self.assertIn("host.eventQueue", out)
         self.assertEqual(self.run_tool(self.good, "--timeline",
                                        "--run", "nope")[1].strip(), "")
+
+    def test_trace_of_an_aborted_run_loads(self):
+        # The writer puts one event per line and the closing "]" only
+        # at run end; an abort can also cut the last line short.
+        events = good_trace()
+        body = "[\n" + ",\n".join(json.dumps(ev) for ev in events)
+        path = os.path.join(self.dir.name, "aborted.trace.json")
+        for tail in ("", ",\n{\"name\": \"epo"):
+            with open(path, "w") as f:
+                f.write(body + tail)
+            self.assertEqual(trace_tool.load(path), events)
+            self.assertEqual(self.run_tool(path, "--check")[0], 0)
 
     def test_merge_shifts_pids_and_labels_processes(self):
         out = os.path.join(self.dir.name, "merged.json")

@@ -6,29 +6,16 @@ SystemConfig::withTelemetry(path)) writes one Chrome trace-event JSON
 file per experiment, loadable in Perfetto (ui.perfetto.dev) or
 chrome://tracing; src/telemetry/span_trace.hh describes its tracks.
 
-Usage:
-    trace_tool.py T.trace.json ... --check       # well-formedness gate
-    trace_tool.py T.trace.json ... --summary     # queue vs service etc.
-    trace_tool.py T.trace.json ... --timeline [--run S] [--csv]
-    trace_tool.py T.trace.json ... --merge OUT   # one Perfetto file
+--check (the default) exits 1 unless every trace is well formed (see
+check()). --timeline prints one table of per-epoch rates per run,
 
---check (the default) validates what Perfetto's importer assumes and
-what the simulator promises: a JSON array of objects with
-name/ph/pid/tid; per (pid, tid) every B has a same-name E (after a
-stable sort by ts, as importers do); per (pid, cat, id) async b/e
-balance and no e precedes its b; X has dur >= 0, instants have scope
-"t", counters have numeric args; one run_info; one epoch_hists per
-epoch counter, each histogram with count/sum/max/buckets.
+    epoch cycle missRate W activeSlices <tenant>.slices <tenant>.p95qlat
 
---timeline turns adjacent epoch samples into per-epoch rates and
-percentiles, one table per run:
-
-    epoch  cycle  missRate  W  activeSlices  <tenant>.slices  <tenant>.p95qlat ...
-
-then the run's decision events and host-time profile. Percentile
-cells ending in "!" are saturated: the sample landed in the
-histogram's open-ended top bucket, so the value is a lower bound
-(mirrors the "saturated" flag in the bench JSON).
+then its decisions (a transition still open at run end is listed as
+<name>_truncated) and host-time profile. A percentile ending in "!"
+landed in the histogram's open-ended top bucket: a lower bound, as
+the "saturated" flag in the bench JSON. --summary gives queue vs
+service per channel and tenant; --merge writes one Perfetto file.
 
 Stdlib only (CI runs it next to the bench binaries).
 """
@@ -51,12 +38,26 @@ RUN_METADATA = ("run_info", "tenant", "measure_start", "profile",
 
 
 def load(path):
-    """The trace's event list; raises ValueError when unreadable."""
+    """The trace's event list; raises ValueError when unreadable.
+
+    A run that aborts leaves the array without its closing "]" (the
+    trace format allows that), and its last line may be cut short:
+    such a file loads as the events of its whole lines."""
     try:
         with open(path) as f:
-            events = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            text = f.read().rstrip()
+    except OSError as e:
         raise ValueError(f"{path}: {e}") from e
+    bodies = [text] if text.endswith("]") else [
+        body.rstrip(",") + "\n]" for body in (text, text.rsplit("\n", 1)[0])]
+    for body in bodies:
+        try:
+            events = json.loads(body)
+            break
+        except json.JSONDecodeError as e:
+            err = e
+    else:
+        raise ValueError(f"{path}: {err}")
     if not isinstance(events, list):
         raise ValueError(f"{path}: top level is not a JSON array")
     return events
@@ -67,7 +68,15 @@ def is_number(v):
 
 
 def check(path, events):
-    """Validate one trace; returns a list of problem strings."""
+    """Validate one trace; returns a list of problem strings.
+
+    The rules are what Perfetto's importer assumes and what the
+    simulator promises: objects with name/ph/pid/tid; per (pid, tid)
+    every B has a same-name E (after a stable sort by ts, as importers
+    do); per (pid, cat, id) async b/e balance and no e precedes its b;
+    X has dur >= 0, instants have scope "t", counters numeric args;
+    one run_info; epoch counters in time order, each with one
+    epoch_hists at its ts holding count/sum/max/buckets."""
     problems = []
 
     def bad(i, ev, why):
@@ -115,12 +124,14 @@ def check(path, events):
     infos = [ev for ev in events if ev["name"] == "run_info"]
     if len(infos) != 1:
         problems.append(f"{path}: {len(infos)} run_info events, want 1")
-    n_counters = sum(1 for ev in events
-                     if ev["ph"] == "C" and ev["name"] == "epoch")
-    n_hists = sum(1 for ev in events if ev["name"] == "epoch_hists")
-    if n_counters != n_hists:
-        problems.append(f"{path}: {n_counters} epoch counters but "
-                        f"{n_hists} epoch_hists")
+    counters = [ev["ts"] for ev in events
+                if ev["ph"] == "C" and ev["name"] == "epoch"]
+    hists = [ev["ts"] for ev in events if ev["name"] == "epoch_hists"]
+    if counters != sorted(counters):
+        problems.append(f"{path}: epoch counters not in time order")
+    if hists != counters:
+        problems.append(f"{path}: {len(hists)} epoch_hists for "
+                        f"{len(counters)} epoch counters, or off their ts")
 
     # Duration nesting per (pid, tid). The writer emits events when
     # they complete, so sibling spans can appear out of time order;
@@ -268,44 +279,34 @@ def summarize(path, events):
                     print(f"  {track:24} {tname:12} {n:8} "
                           f"{q / n:14.3f} {s / n:14.3f}")
 
-    # Page residency (pid 1): B/E "resident" spans per page track.
-    res_open = {}
-    res_total = 0.0
-    res_count = 0
-    res_pages = set()
+    # Pages (pid 1): "resident" B/E spans per page track and async
+    # "fetch" pairs.
+    opened = {}
+    res_us, fetch_us, res_pages = [], [], set()
     causes = defaultdict(int)
     for ev in events:
-        if ev.get("pid") != 1 or ev.get("name") != "resident":
+        if ev.get("pid") != 1 or ev.get("name") not in ("resident", "fetch"):
             continue
-        tid = ev["tid"]
-        if ev["ph"] == "B":
-            res_open[tid] = ev["ts"]
-        elif ev["ph"] == "E" and tid in res_open:
-            res_total += ev["ts"] - res_open.pop(tid)
-            res_count += 1
-            res_pages.add(tid)
+        key = ((ev["tid"],) if ev["name"] == "resident"
+               else (ev["cat"], ev["id"]))
+        if ev["ph"] in ("B", "b"):
+            opened[key] = ev["ts"]
+        elif key in opened:
+            dur = ev["ts"] - opened.pop(key)
+            if ev["name"] == "fetch":
+                fetch_us.append(dur)
+                continue
+            res_us.append(dur)
+            res_pages.add(ev["tid"])
             causes[ev.get("args", {}).get("cause", "?")] += 1
-    if res_count:
-        print(f"  residency: {res_count} spans over {len(res_pages)} "
-              f"sampled pages, avg {res_total / res_count:.1f} us")
+    if res_us:
+        print(f"  residency: {len(res_us)} spans over {len(res_pages)} "
+              f"sampled pages, avg {sum(res_us) / len(res_us):.1f} us")
         print("  eviction causes: " + ", ".join(
             f"{k}={v}" for k, v in sorted(causes.items())))
-
-    # Fetch latency (pid 1 async "fetch").
-    fetch_open = {}
-    fetch_n, fetch_us = 0, 0.0
-    for ev in events:
-        if ev.get("pid") != 1 or ev.get("name") != "fetch":
-            continue
-        key = (ev["cat"], ev["id"])
-        if ev["ph"] == "b":
-            fetch_open[key] = ev["ts"]
-        elif key in fetch_open:
-            fetch_us += ev["ts"] - fetch_open.pop(key)
-            fetch_n += 1
-    if fetch_n:
-        print(f"  fetches: {fetch_n} sampled, "
-              f"avg {fetch_us / fetch_n:.3f} us")
+    if fetch_us:
+        print(f"  fetches: {len(fetch_us)} sampled, "
+              f"avg {sum(fetch_us) / len(fetch_us):.3f} us")
 
 
 def timeline(label, events, csv):
@@ -383,6 +384,8 @@ def timeline(label, events, csv):
         if ev["name"] in RUN_METADATA:
             continue
         kind = {"i": "", "B": "_start", "E": "_commit"}[ev["ph"]]
+        if ev["ph"] == "E" and ev.get("args", {}).get("truncated"):
+            kind = "_truncated"  # closed at run end, never committed
         decisions.append((ev["ts"], ev["name"] + kind, ev.get("args", {})))
     if decisions:
         print("  events:")

@@ -33,6 +33,16 @@ fmtUs(double us)
     return buf;
 }
 
+/** `{"k": v, ...}`, or empty when there are no fields. */
+std::string
+argsObject(std::initializer_list<TraceField> args)
+{
+    std::string obj;
+    for (const TraceField &f : args)
+        obj += (obj.empty() ? "{" : ", ") + f.json();
+    return obj.empty() ? obj : obj + "}";
+}
+
 } // namespace
 
 PageJournal::PageJournal(const TelemetryConfig &config,
@@ -81,17 +91,14 @@ void
 PageJournal::emit(std::string line,
                   std::initializer_list<TraceField> args)
 {
-    if (args.size() != 0) {
-        line += ", \"args\": {";
-        bool first = true;
-        for (const TraceField &f : args) {
-            if (!first)
-                line += ", ";
-            line += f.json();
-            first = false;
-        }
-        line += "}";
-    }
+    emitRaw(std::move(line), argsObject(args));
+}
+
+void
+PageJournal::emitRaw(std::string line, const std::string &args)
+{
+    if (!args.empty())
+        line += ", \"args\": " + args;
     line += "}";
     writer_.event(line);
 }
@@ -269,21 +276,19 @@ PageJournal::controlInstant(std::uint32_t track, const char *name,
                             Cycle now,
                             std::initializer_list<TraceField> args)
 {
-    lastCycle_ = std::max(lastCycle_, now);
-    emit(head(name, "i", kControlPid, track, now) + ", \"s\": \"t\"",
-         args);
+    controlEvent(track, name, 'i', now, argsObject(args));
 }
 
 void
-PageJournal::runEvent(const char *name, char ph, Cycle now,
-                      const std::string &args)
+PageJournal::controlEvent(std::uint32_t track, const char *name, char ph,
+                          Cycle now, const std::string &args)
 {
     lastCycle_ = std::max(lastCycle_, now);
     const char phase[2] = {ph, '\0'};
-    std::string line = head(name, phase, kControlPid, kRunTrack, now);
+    std::string line = head(name, phase, kControlPid, track, now);
     if (ph == 'i')
         line += ", \"s\": \"t\"";
-    writer_.event(line + ", \"args\": " + args + "}");
+    emitRaw(std::move(line), args);
 }
 
 void

@@ -150,11 +150,16 @@ class PageJournal
     void controlInstant(std::uint32_t track, const char *name, Cycle now,
                         std::initializer_list<TraceField> args = {});
 
-    /** Event of phase @p ph ('C' counter or 'i' instant) on the run
-     *  track whose args object @p args (`{...}`) is pre-serialized:
-     *  epoch counters, histogram states, the host-time profile. */
-    void runEvent(const char *name, char ph, Cycle now,
-                  const std::string &args);
+    /** Event of phase @p ph ('C' counter or 'i' instant) on a control
+     *  track whose args object @p args (`{...}`, or empty for none)
+     *  is pre-serialized: epoch counters, histogram states, the
+     *  host-time profile. */
+    void controlEvent(std::uint32_t track, const char *name, char ph,
+                      Cycle now, const std::string &args);
+
+    /** Hand the events written so far to the OS (once per epoch
+     *  sample), so a run that aborts still leaves its timeline. */
+    void flush() { writer_.flush(); }
 
     /**
      * Close every still-open span (pages resident at run end, a
@@ -180,6 +185,9 @@ class PageJournal
 
     /** Append `, "args": {..}}` (or just `}`) and write the line. */
     void emit(std::string line, std::initializer_list<TraceField> args);
+
+    /** emit() with the args object already serialized (empty: none). */
+    void emitRaw(std::string line, const std::string &args);
 
     void emitMeta(std::uint32_t pid, std::uint64_t tid,
                   const char *metaName, const std::string &value);

@@ -99,7 +99,8 @@ Telemetry::emitProfile()
                 ", \"calls\": " + std::to_string(kv.second.calls) + "}";
     }
     json += "}";
-    trace_->runEvent("profile", 'i', eq_.now(), json);
+    trace_->controlEvent(PageJournal::kRunTrack, "profile", 'i', eq_.now(),
+                         json);
 }
 
 std::vector<HistogramSummary>
@@ -129,7 +130,8 @@ Telemetry::traceSample(const MetricRegistry::Sample &s)
         json += "\"" + jsonEscape(names[i]) + "\": " + buf;
     }
     json += "}";
-    trace_->runEvent("epoch", 'C', s.cycle, json);
+    trace_->controlEvent(PageJournal::kRunTrack, "epoch", 'C', s.cycle,
+                         json);
 
     json = "{";
     const auto &hnames = registry_.histNames();
@@ -149,7 +151,10 @@ Telemetry::traceSample(const MetricRegistry::Sample &s)
         json += "]}";
     }
     json += "}";
-    trace_->runEvent("epoch_hists", 'i', s.cycle, json);
+    trace_->controlEvent(PageJournal::kRunTrack, "epoch_hists", 'i',
+                         s.cycle, json);
+    // One flush per epoch: a run that aborts keeps its timeline.
+    trace_->flush();
 }
 
 } // namespace banshee

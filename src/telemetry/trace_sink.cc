@@ -122,21 +122,15 @@ resolveTracePath(const std::string &path, const std::string &label)
     }
     if (label.empty())
         return path;
-    // Splice "-<label>" before the file extension (if any) so each
-    // experiment of a sweep gets a private file. Prefer the full
-    // canonical extension ("x.trace.json" -> "x-<label>.trace.json"),
-    // falling back to the last dot for other suffixes.
-    if (path.size() > kExt.size() &&
-        path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0) {
-        return path.substr(0, path.size() - kExt.size()) + "-" + name +
-               kExt;
-    }
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + "-" + name;
-    return path.substr(0, dot) + "-" + name + path.substr(dot);
+    // A plain file gets "-<label>" before the canonical extension
+    // ("x.trace.json" -> "x-<label>.trace.json", "x" ->
+    // "x-<label>.trace.json") so each experiment of a sweep gets a
+    // private file.
+    std::string stem = path;
+    if (stem.size() > kExt.size() &&
+        stem.compare(stem.size() - kExt.size(), kExt.size(), kExt) == 0)
+        stem.resize(stem.size() - kExt.size());
+    return stem + "-" + name + kExt;
 }
 
 ChromeTraceWriter::ChromeTraceWriter(const std::string &path)
@@ -162,6 +156,13 @@ ChromeTraceWriter::event(const std::string &json)
         return;
     }
     first_ = false;
+}
+
+void
+ChromeTraceWriter::flush()
+{
+    if (file_)
+        std::fflush(file_);
 }
 
 void

@@ -51,8 +51,9 @@ std::string sanitizeRunLabel(const std::string &label);
  * - a directory (trailing '/' or an existing directory) is created if
  *   missing and yields `dir/<sanitized-label>.trace.json` ("run" when
  *   the label is empty) — one file per experiment;
- * - otherwise the path is a plain file. When the label is non-empty,
- *   "-<sanitized-label>" is spliced in before the file extension so
+ * - otherwise the path is a plain file, used as is when the label is
+ *   empty. A non-empty label yields `<path>-<sanitized-label>.trace.json`
+ *   (a trailing `.trace.json` on @p path is moved after the label) so
  *   sweep experiments never share a writer.
  */
 std::string resolveTracePath(const std::string &path,
@@ -78,6 +79,11 @@ class ChromeTraceWriter
 
     /** Append one pre-serialized event object (`{...}`, no comma). */
     void event(const std::string &json);
+
+    /** Hand buffered events to the OS. A run that aborts afterwards
+     *  (sim_assert, fatal) keeps every event up to here; the array
+     *  then lacks its closing `]`, which the trace format allows. */
+    void flush();
 
     /** Write the closing `]` now (idempotent; destructor fallback). */
     void close();

@@ -84,10 +84,11 @@ TEST(SpanTracePath, LabelSanitizedAndDirectoriesCreated)
     EXPECT_EQ(sanitizeRunLabel("a/b c:d"), "a_b_c_d");
     EXPECT_EQ(sanitizeRunLabel("ok-1.2_x"), "ok-1.2_x");
 
-    // Plain file: the label splices in before the extension.
+    // Plain file: the label goes in before the canonical extension,
+    // which is added when missing.
     EXPECT_EQ(resolveTracePath("out.trace.json", "w/x"),
               "out-w_x.trace.json");
-    EXPECT_EQ(resolveTracePath("out.json", "w"), "out-w.json");
+    EXPECT_EQ(resolveTracePath("out", "w"), "out-w.trace.json");
     // Unlabelled file paths pass through untouched.
     EXPECT_EQ(resolveTracePath("out.trace.json", ""), "out.trace.json");
     EXPECT_EQ(resolveTracePath("", "w"), "");

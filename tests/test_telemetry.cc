@@ -282,6 +282,29 @@ TEST(Telemetry, EpochCountersCarryMetricsAndHistograms)
     }
 }
 
+TEST(Telemetry, EpochSamplesReachTheFileBeforeTheRunEnds)
+{
+    // A run that aborts (sim_assert, fatal) never closes its trace:
+    // every epoch sample must already be on disk when it is taken.
+    const std::string path = tempPath("trace_flushed.trace.json");
+    EventQueue eq;
+    TelemetryConfig config;
+    config.enabled = true;
+    config.path = path;
+    config.epochCycles = 2700; // 1 us
+    PageJournal trace(config, 12, 1);
+    Telemetry telem(eq, config, &trace);
+    telem.registry().addGauge("g", [] { return 1.5; });
+    telem.startEpochs();
+    eq.run(6000);
+
+    const auto lines = readLines(path);
+    EXPECT_EQ(eventsNamed(lines, "epoch").size(), 3u);
+    EXPECT_EQ(eventsNamed(lines, "epoch_hists").size(), 3u);
+    ASSERT_FALSE(lines.empty());
+    EXPECT_NE(lines.back(), "]") << "trace closed before the run ended";
+}
+
 TEST(Telemetry, UnpartitionedTenantsHaveNoSliceSeries)
 {
     // Without a resize controller the tenants share every slice: a
