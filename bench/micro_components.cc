@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot data
  * structures: Tag Buffer, FBR directory, alias-table sampling, SRAM
- * cache lookups, DRAM channel scheduling and workload generation.
+ * cache lookups and back-invalidation, DRAM channel scheduling and
+ * workload generation.
  * These guard the simulator's own performance (simulation speed), not
  * the paper's results.
  */
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "cache/hierarchy.hh"
 #include "common/alias_table.hh"
 #include "common/event_queue.hh"
 #include "common/rng.hh"
@@ -102,6 +104,59 @@ BM_SramCacheLookup(benchmark::State &state)
             cache.lookup(rng.nextBelow(1 << 20), false));
 }
 BENCHMARK(BM_SramCacheLookup);
+
+namespace {
+
+/** Backend that completes every fetch at once and drops writebacks. */
+class InstantBackend : public MemBackend
+{
+  public:
+    void
+    fetchLine(LineAddr, const MappingInfo &, CoreId, MissDoneFn done) override
+    {
+        done(0);
+    }
+
+    void writebackLine(LineAddr) override { ++writebacks; }
+
+    std::uint64_t writebacks = 0;
+};
+
+} // namespace
+
+static void
+BM_HierarchyBackInvalidate(benchmark::State &state)
+{
+    // 64 cores under a miss stream: a shared region twice the L3 and
+    // a wide one, a quarter of them stores. Nearly every access
+    // evicts an L2 line (back-invalidating L1s) and an L3 line
+    // (back-invalidating its sharers' L2s and L1s).
+    HierarchyParams p;
+    p.numCores = 64;
+    p.l2Size = 32 * 1024;
+    p.l3Size = 2ull << 20;
+    InstantBackend backend;
+    CacheHierarchy h(p, backend);
+    Rng rng(7);
+    CoreId core = 0;
+    auto step = [&] {
+        const LineAddr line = rng.nextBool(0.5)
+                                  ? rng.nextBelow(1 << 16)
+                                  : (1ull << 20) + rng.nextBelow(1 << 22);
+        const Addr addr = line * kLineBytes;
+        if (rng.nextBool(0.1))
+            h.fetch(core, addr, MappingInfo{}, nullptr);
+        else
+            h.access(core, addr, rng.nextBool(0.25), MappingInfo{}, nullptr);
+        core = (core + 1) % p.numCores;
+    };
+    for (int i = 0; i < 100000; ++i)
+        step();
+    for (auto _ : state)
+        step();
+    benchmark::DoNotOptimize(backend.writebacks);
+}
+BENCHMARK(BM_HierarchyBackInvalidate);
 
 static void
 BM_DramChannelThroughput(benchmark::State &state)

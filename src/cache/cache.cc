@@ -45,7 +45,7 @@ Cache::findLine(LineAddr line) const
 }
 
 bool
-Cache::lookup(LineAddr line, bool isWrite)
+Cache::lookup(LineAddr line, bool isWrite, std::uint64_t metaBits)
 {
     Line *l = findLine(line);
     if (!l) {
@@ -57,6 +57,7 @@ Cache::lookup(LineAddr line, bool isWrite)
         l->stamp = stampCounter_++;
     if (isWrite)
         l->dirty = true;
+    l->meta |= metaBits;
     return true;
 }
 
@@ -69,16 +70,25 @@ Cache::contains(LineAddr line) const
 Cache::Victim
 Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
 {
-    sim_assert(!findLine(line), "double insert of line %llx",
-               static_cast<unsigned long long>(line));
     Line *set = &lines_[static_cast<std::uint64_t>(setIndex(line)) * ways_];
 
+    // One pass over the set: reject a double insert, and find the
+    // first free way and the smallest stamp (first way on ties). LRU
+    // and FIFO both evict the smallest stamp; FIFO simply never
+    // refreshes stamps on hits.
     Line *slot = nullptr;
+    Line *oldest = &set[0];
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid) {
-            slot = &set[w];
-            break;
+        Line &l = set[w];
+        if (!l.valid) {
+            if (!slot)
+                slot = &l;
+            continue;
         }
+        sim_assert(l.tag != line, "double insert of line %llx",
+                   static_cast<unsigned long long>(line));
+        if (l.stamp < oldest->stamp)
+            oldest = &l;
     }
 
     Victim victim;
@@ -90,13 +100,7 @@ Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
             randState_ ^= randState_ << 17;
             slot = &set[randState_ % ways_];
         } else {
-            // LRU and FIFO both evict the smallest stamp; FIFO simply
-            // never refreshes stamps on hits.
-            slot = &set[0];
-            for (std::uint32_t w = 1; w < ways_; ++w) {
-                if (set[w].stamp < slot->stamp)
-                    slot = &set[w];
-            }
+            slot = oldest;
         }
         victim.valid = true;
         victim.dirty = slot->dirty;
@@ -149,12 +153,24 @@ Cache::meta(LineAddr line) const
     return l->meta;
 }
 
-void
-Cache::setMeta(LineAddr line, std::uint64_t meta)
+bool
+Cache::addMeta(LineAddr line, std::uint64_t bits)
 {
     Line *l = findLine(line);
-    sim_assert(l, "setMeta on absent line");
-    l->meta = meta;
+    if (!l)
+        return false;
+    l->meta |= bits;
+    return true;
+}
+
+void
+Cache::release(LineAddr line, std::uint64_t clearBits, bool dirty)
+{
+    Line *l = findLine(line);
+    sim_assert(l, "release of absent line %llx",
+               static_cast<unsigned long long>(line));
+    l->meta &= ~clearBits;
+    l->dirty |= dirty;
 }
 
 } // namespace banshee

@@ -34,7 +34,7 @@ struct CacheParams
 /**
  * A set-associative cache of line addresses. Lines carry a dirty bit
  * and a 64-bit user metadata word (the shared L3 stores a sharer
- * bitmask there).
+ * bitmask there, each L2 its L1 presence bits).
  */
 class Cache
 {
@@ -50,11 +50,12 @@ class Cache
     explicit Cache(const CacheParams &params);
 
     /**
-     * Look up @p line. On a hit, updates replacement state and, if
-     * @p isWrite, the dirty bit.
+     * Look up @p line. On a hit, updates replacement state, sets the
+     * dirty bit if @p isWrite and ORs @p metaBits into the line's
+     * metadata word.
      * @return true on hit.
      */
-    bool lookup(LineAddr line, bool isWrite);
+    bool lookup(LineAddr line, bool isWrite, std::uint64_t metaBits = 0);
 
     /** Hit check without any state change. */
     bool contains(LineAddr line) const;
@@ -74,11 +75,22 @@ class Cache
     /** Set the dirty bit of a resident line (asserts presence). */
     void setDirty(LineAddr line);
 
+    /**
+     * OR @p bits into @p line's metadata word if the line is present,
+     * without touching replacement state.
+     * @return true if the line was present.
+     */
+    bool addMeta(LineAddr line, std::uint64_t bits);
+
+    /**
+     * A copy of resident @p line one level up was dropped: clear
+     * @p clearBits of its metadata word and, if @p dirty, set its
+     * dirty bit. Asserts presence (the level is inclusive).
+     */
+    void release(LineAddr line, std::uint64_t clearBits, bool dirty);
+
     /** Read a resident line's metadata word (asserts presence). */
     std::uint64_t meta(LineAddr line) const;
-
-    /** Update a resident line's metadata word (asserts presence). */
-    void setMeta(LineAddr line, std::uint64_t meta);
 
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }

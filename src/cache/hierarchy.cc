@@ -68,16 +68,17 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
         return res;
     }
 
-    if (l2_[core]->lookup(line, false)) {
-        fillPrivate(core, line, isWrite, isFetch);
+    // The L1 just missed, so an L2 hit fills it without a probe, and
+    // an L3 hit fills both private levels without probes.
+    const std::uint64_t inL1 = isFetch ? kInL1i : kInL1d;
+    if (l2_[core]->lookup(line, false, inL1)) {
+        handleL1Victim(core, l1.insert(line, isWrite));
         res.level = Level::L2;
         res.latency = params_.l2Latency;
         return res;
     }
 
-    if (l3_->lookup(line, false)) {
-        l3_->setMeta(line, l3_->meta(line) |
-                               1ull << core);
+    if (l3_->lookup(line, false, 1ull << core)) {
         fillPrivate(core, line, isWrite, isFetch);
         res.level = Level::L3;
         res.latency = params_.l3Latency;
@@ -114,14 +115,9 @@ CacheHierarchy::fillPrivate(CoreId core, LineAddr line, bool isWrite,
                             bool isFetch)
 {
     Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
-    if (!l2_[core]->contains(line)) {
-        handleL2Victim(core, l2_[core]->insert(line, false));
-    }
-    if (!l1.contains(line)) {
-        handleL1Victim(core, l1.insert(line, isWrite));
-    } else if (isWrite) {
-        l1.setDirty(line);
-    }
+    handleL2Victim(core,
+                   l2_[core]->insert(line, false, isFetch ? kInL1i : kInL1d));
+    handleL1Victim(core, l1.insert(line, isWrite));
 }
 
 void
@@ -131,8 +127,10 @@ CacheHierarchy::handleL1Victim(CoreId core, const Cache::Victim &victim)
         return;
     // L2 is inclusive of L1: fillPrivate fills L2 before L1, and both
     // L2 and L3 victims back-invalidate the L1 copies. So the line is
-    // still in L2 (setDirty asserts it); merge the dirty data there.
-    l2_[core]->setDirty(victim.line);
+    // still in L2 (release asserts it); merge the dirty data there.
+    // Only the L1d holds dirty lines (fetches never write), so the
+    // same probe clears the L1d presence bit.
+    l2_[core]->release(victim.line, kInL1d, true);
 }
 
 void
@@ -140,18 +138,17 @@ CacheHierarchy::handleL2Victim(CoreId core, const Cache::Victim &victim)
 {
     if (!victim.valid)
         return;
-    // Back-invalidate the L1 copies (inclusive L2).
+    // Back-invalidate the L1 copies (inclusive L2), probing only the
+    // L1s whose presence bit is set.
     bool dirty = victim.dirty;
-    dirty |= l1d_[core]->invalidate(victim.line).dirty;
-    l1i_[core]->invalidate(victim.line);
-    if (!dirty)
-        return;
-    if (l3_->contains(victim.line)) {
-        l3_->setDirty(victim.line);
-    } else {
-        backend_.writebackLine(victim.line);
-        ++statLlcWritebacks_;
-    }
+    if (victim.meta & kInL1d)
+        dirty |= l1d_[core]->invalidate(victim.line).dirty;
+    if (victim.meta & kInL1i)
+        l1i_[core]->invalidate(victim.line);
+    // L3 is inclusive of every L2: L3 victims back-invalidate all
+    // their sharers. So the line is in L3 (release asserts it); one
+    // probe clears this core's sharer bit and merges the dirty data.
+    l3_->release(victim.line, 1ull << core, dirty);
 }
 
 void
@@ -160,13 +157,20 @@ CacheHierarchy::handleL3Victim(const Cache::Victim &victim)
     if (!victim.valid)
         return;
     bool dirty = victim.dirty;
-    const std::uint64_t sharers = victim.meta;
-    for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        if (!(sharers & (1ull << c)))
-            continue;
-        dirty |= l1d_[c]->invalidate(victim.line).dirty;
-        l1i_[c]->invalidate(victim.line);
-        dirty |= l2_[c]->invalidate(victim.line).dirty;
+    // Sharer bits are set on every L2 fill and cleared when that L2
+    // drops the line, so each sharer's L2 holds it. The L2 copy's
+    // presence bits then name the L1s to probe.
+    for (std::uint64_t sharers = victim.meta; sharers;
+         sharers &= sharers - 1) {
+        const CoreId c = static_cast<CoreId>(__builtin_ctzll(sharers));
+        const Cache::Victim l2Copy = l2_[c]->invalidate(victim.line);
+        sim_assert(l2Copy.valid, "L3 sharer %u does not hold line %llx", c,
+                   static_cast<unsigned long long>(victim.line));
+        dirty |= l2Copy.dirty;
+        if (l2Copy.meta & kInL1d)
+            dirty |= l1d_[c]->invalidate(victim.line).dirty;
+        if (l2Copy.meta & kInL1i)
+            l1i_[c]->invalidate(victim.line);
     }
     if (dirty) {
         backend_.writebackLine(victim.line);
@@ -188,13 +192,31 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     for (const auto &w : waiters)
         sharers |= 1ull << w.core;
 
-    if (!l3_->contains(line))
-        handleL3Victim(l3_->insert(line, false, sharers));
-    else
-        l3_->setMeta(line, l3_->meta(line) | sharers);
+    // A line is absent from L3 while its MSHR is open (every access
+    // to it merges here), so insert without a probe; insert asserts.
+    handleL3Victim(l3_->insert(line, false, sharers));
 
-    for (auto &w : waiters)
-        fillPrivate(w.core, line, w.isWrite, w.isFetch);
+    // So no private level holds it either, until a core's first
+    // waiter fills that core's L2 and one L1. A later waiter of the
+    // same core finds the L2 copy and probes only its own L1.
+    std::uint64_t filled = 0;
+    for (auto &w : waiters) {
+        const std::uint64_t coreBit = 1ull << w.core;
+        if (!(filled & coreBit)) {
+            filled |= coreBit;
+            fillPrivate(w.core, line, w.isWrite, w.isFetch);
+            continue;
+        }
+        Cache &l1 = w.isFetch ? *l1i_[w.core] : *l1d_[w.core];
+        const bool inL2 =
+            l2_[w.core]->addMeta(line, w.isFetch ? kInL1i : kInL1d);
+        sim_assert(inL2, "core %u lost line %llx during its fill", w.core,
+                   static_cast<unsigned long long>(line));
+        if (!l1.contains(line))
+            handleL1Victim(w.core, l1.insert(line, w.isWrite));
+        else if (w.isWrite)
+            l1.setDirty(line);
+    }
 
     for (auto &w : waiters) {
         if (w.done)

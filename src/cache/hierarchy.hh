@@ -39,15 +39,25 @@ struct HierarchyParams
 /**
  * The hierarchy is functional-immediate: hits return a latency, LLC
  * misses hand a completion callback to the MemBackend. Inclusion is
- * enforced (L3 evictions back-invalidate L1/L2 copies via per-line
- * sharer masks), so every dirty line eventually reaches the backend
- * as an LLC writeback — the traffic Banshee's Tag Buffer must probe
- * for.
+ * enforced (L3 evictions back-invalidate L2 copies via per-line
+ * sharer masks, L2 evictions L1 copies via per-line presence bits),
+ * so every dirty line eventually reaches the backend as an LLC
+ * writeback — the traffic Banshee's Tag Buffer must probe for.
  */
 class CacheHierarchy
 {
   public:
     enum class Level : std::uint8_t { L1, L2, L3, Mem };
+
+    /**
+     * L1 presence bits in an L2 line's metadata word: the line may be
+     * in this core's L1d / L1i. Set on every L1 fill; a bit may stay
+     * set after the L1 drops the line, but is never clear while the
+     * L1 holds it. (An L3 line's metadata word holds one sharer bit
+     * per core whose L2 holds the line.)
+     */
+    static constexpr std::uint64_t kInL1d = 1;
+    static constexpr std::uint64_t kInL1i = 2;
 
     struct AccessResult
     {
@@ -105,7 +115,7 @@ class CacheHierarchy
                                 bool isFetch, const MappingInfo &mapping,
                                 MissDoneFn done);
 
-    /** Install @p line into core-private levels after an L3 hit/fill. */
+    /** Install @p line into both private levels; neither holds it. */
     void fillPrivate(CoreId core, LineAddr line, bool isWrite, bool isFetch);
 
     /** L1 -> L2 eviction handling (inclusive: dirty merges into L2). */

@@ -11,10 +11,13 @@
  * telemetry buffers and its trace file (one per experiment label; no
  * trace state is shared between Systems). The only cross-`System`
  * mutable state is the process-wide `logVerbosity` knob (written
- * during argument parsing, before any worker thread starts) and
- * `warn_once` dedup flags (atomic). Sweeps therefore shard freely
- * across threads with no simulation-visible interaction between
- * experiments.
+ * during argument parsing, before any worker thread starts),
+ * `warn_once` dedup flags (atomic) and the Zipf alias-table memo
+ * (`zipfTable`, `workload/pattern.hh`): a mutex-guarded map of weak
+ * references to immutable tables, so Systems of the same
+ * distribution read one table and never write it. Sweeps therefore
+ * shard freely across threads with no simulation-visible interaction
+ * between experiments.
  */
 
 #ifndef BANSHEE_SIM_RUNNER_HH

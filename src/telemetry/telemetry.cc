@@ -81,8 +81,12 @@ Telemetry::finishEpochs()
 {
     registry_.stop();
     // One closing sample so the last (partial) epoch's activity is
-    // still visible in the timeline (traced via the onSample hook).
-    registry_.sample(eq_.now());
+    // still visible in the timeline (traced via the onSample hook),
+    // unless an epoch tick already sampled this cycle: a second
+    // sample would only add a zero-length epoch.
+    const auto &series = registry_.series();
+    if (series.empty() || series.back().cycle != eq_.now())
+        registry_.sample(eq_.now());
 }
 
 void

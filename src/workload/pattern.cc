@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "common/log.hh"
 
@@ -64,7 +66,63 @@ permute(std::uint64_t rank, std::uint64_t numPages)
     return permutedBlock * kBlockPages + offset;
 }
 
+/** Upper bound on alias-table outcomes; see buildZipfTable. */
+std::uint64_t
+zipfHotPages(std::uint64_t numPages)
+{
+    return std::min<std::uint64_t>(numPages, 1ull << 16);
+}
+
+/** Alias table over the hot ranks, plus one bucket for the tail. */
+AliasTable
+buildZipfTable(std::uint64_t numPages, double alpha)
+{
+    // Cap the alias table size; the tail beyond it is sampled
+    // uniformly with the tail's aggregate probability. This keeps
+    // construction O(64K) for multi-GB regions while preserving the
+    // head of the distribution, which is what matters for caching.
+    const std::uint64_t hotPages = zipfHotPages(numPages);
+    std::vector<double> weights = zipfWeights(hotPages, alpha);
+    if (hotPages < numPages) {
+        // One extra bucket representing all tail pages together.
+        double tail = 0.0;
+        // Integral approximation of sum_{i=hot}^{n} i^-alpha.
+        if (alpha == 1.0) {
+            tail = std::log(static_cast<double>(numPages) /
+                            static_cast<double>(hotPages));
+        } else {
+            const double a = 1.0 - alpha;
+            tail = (std::pow(static_cast<double>(numPages), a) -
+                    std::pow(static_cast<double>(hotPages), a)) /
+                   a;
+        }
+        weights.push_back(std::max(tail, 0.0));
+    }
+    return AliasTable(weights);
+}
+
 } // namespace
+
+std::shared_ptr<const AliasTable>
+zipfTable(std::uint64_t numPages, double alpha)
+{
+    // Weak references: the memo never keeps a table alive by itself.
+    // The tables are immutable, so sharing them across concurrently
+    // running Systems changes nothing they simulate.
+    static std::mutex mutex;
+    static std::map<std::pair<std::uint64_t, double>,
+                    std::weak_ptr<const AliasTable>>
+        memo;
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::weak_ptr<const AliasTable> &slot = memo[{numPages, alpha}];
+    std::shared_ptr<const AliasTable> table = slot.lock();
+    if (!table) {
+        table = std::make_shared<const AliasTable>(
+            buildZipfTable(numPages, alpha));
+        slot = table;
+    }
+    return table;
+}
 
 ZipfPagePattern::ZipfPagePattern(Addr base, std::uint64_t numPages,
                                  double alpha, std::uint32_t linesPerVisit,
@@ -72,39 +130,19 @@ ZipfPagePattern::ZipfPagePattern(Addr base, std::uint64_t numPages,
                                  std::uint32_t nonMemMean)
     : base_(base), numPages_(numPages),
       linesPerVisit_(std::min<std::uint32_t>(linesPerVisit, kLinesPerPage)),
-      writeFraction_(writeFraction), nonMemMean_(nonMemMean)
+      writeFraction_(writeFraction), nonMemMean_(nonMemMean),
+      hotPages_(zipfHotPages(numPages))
 {
     sim_assert(numPages_ > 0, "empty zipf region");
     sim_assert(linesPerVisit_ > 0, "need at least one line per visit");
-    // Cap the alias table size; the tail beyond it is sampled
-    // uniformly with the tail's aggregate probability. This keeps
-    // construction O(64K) for multi-GB regions while preserving the
-    // head of the distribution, which is what matters for caching.
-    hotPages_ = std::min<std::uint64_t>(numPages_, 1ull << 16);
-    std::vector<double> weights = zipfWeights(hotPages_, alpha);
-    if (hotPages_ < numPages_) {
-        // One extra bucket representing all tail pages together.
-        double tail = 0.0;
-        // Integral approximation of sum_{i=hot}^{n} i^-alpha.
-        if (alpha == 1.0) {
-            tail = std::log(static_cast<double>(numPages_) /
-                            static_cast<double>(hotPages_));
-        } else {
-            const double a = 1.0 - alpha;
-            tail = (std::pow(static_cast<double>(numPages_), a) -
-                    std::pow(static_cast<double>(hotPages_), a)) /
-                   a;
-        }
-        weights.push_back(std::max(tail, 0.0));
-    }
-    table_ = AliasTable(weights);
+    table_ = zipfTable(numPages_, alpha);
 }
 
 MemOp
 ZipfPagePattern::next(Rng &rng)
 {
     if (left_ == 0) {
-        std::uint64_t rank = table_.sample(rng);
+        std::uint64_t rank = table_->sample(rng);
         if (rank >= hotPages_) {
             // Tail bucket: uniform over the cold pages.
             rank = hotPages_ + rng.nextBelow(numPages_ - hotPages_);

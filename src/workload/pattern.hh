@@ -98,6 +98,16 @@ class StreamPattern : public AccessPattern
 };
 
 /**
+ * The alias table a ZipfPagePattern over @p numPages pages with skew
+ * @p alpha samples page ranks from. Patterns of the same distribution
+ * share one immutable table: a mutex-guarded memo hands out the live
+ * table for (numPages, alpha) and builds a new one only when none is
+ * alive, so a table is freed with the last pattern that holds it.
+ */
+std::shared_ptr<const AliasTable> zipfTable(std::uint64_t numPages,
+                                            double alpha);
+
+/**
  * Pages drawn from a Zipf(alpha) popularity distribution over
  * [base, base + numPages * 4KB). Each page visit touches
  * @p linesPerVisit lines starting at a random line (contiguously), so
@@ -122,7 +132,7 @@ class ZipfPagePattern : public AccessPattern
     double writeFraction_;
     std::uint32_t nonMemMean_;
 
-    AliasTable table_;
+    std::shared_ptr<const AliasTable> table_; ///< shared per distribution
     std::uint64_t hotPages_;   ///< alias table covers ranks [0, hotPages)
     std::uint64_t curPage_ = 0;
     std::uint32_t curLine_ = 0;

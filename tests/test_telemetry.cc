@@ -263,11 +263,12 @@ TEST(Telemetry, EpochCountersCarryMetricsAndHistograms)
     const auto lines = readLines(path);
     const auto counters = eventsNamed(lines, "epoch");
     const auto hists = eventsNamed(lines, "epoch_hists");
-    // Baseline sample + two epochs + the closing sample, taken at the
-    // last event the queue ran (the 5400-cycle epoch tick).
-    ASSERT_EQ(counters.size(), 4u);
-    ASSERT_EQ(hists.size(), 4u);
-    const char *ts[] = {"0.0000", "1.0000", "2.0000", "2.0000"};
+    // Baseline sample + two epochs. The run ends on the 5400-cycle
+    // epoch tick, which already sampled that cycle, so there is no
+    // separate closing sample (it would be a zero-length epoch).
+    ASSERT_EQ(counters.size(), 3u);
+    ASSERT_EQ(hists.size(), 3u);
+    const char *ts[] = {"0.0000", "1.0000", "2.0000"};
     for (std::size_t i = 0; i < counters.size(); ++i) {
         EXPECT_EQ(counters[i],
                   std::string("{\"name\": \"epoch\", \"ph\": \"C\", "
@@ -280,6 +281,32 @@ TEST(Telemetry, EpochCountersCarryMetricsAndHistograms)
                       ", \"s\": \"t\", \"args\": {\"lat\": {\"count\": 1, "
                       "\"sum\": 3, \"max\": 3, \"buckets\": [0, 0, 1]}}}");
     }
+}
+
+TEST(Telemetry, RunEndingMidEpochGetsClosingSample)
+{
+    const std::string path = tempPath("trace_closing.trace.json");
+    {
+        EventQueue eq;
+        TelemetryConfig config;
+        config.enabled = true;
+        config.path = path;
+        config.epochCycles = 2700; // 1 us
+        PageJournal trace(config, 12, 1);
+        Telemetry telem(eq, config, &trace);
+        telem.registry().addGauge("g", [] { return 1.5; });
+        telem.startEpochs();
+        eq.schedule(Cycle{6750}, [] {}); // the run's last event
+        eq.run(6750);
+        telem.finishEpochs();
+    }
+
+    // Baseline + two epoch ticks, then the partial third epoch's
+    // closing sample at the last event (6750 cycles = 2.5 us).
+    const auto counters = eventsNamed(readLines(path), "epoch");
+    ASSERT_EQ(counters.size(), 4u);
+    EXPECT_NE(counters[3].find("\"ts\": 2.5000,"), std::string::npos)
+        << counters[3];
 }
 
 TEST(Telemetry, EpochSamplesReachTheFileBeforeTheRunEnds)

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "workload/pattern.hh"
 #include "workload/trace.hh"
@@ -161,6 +163,49 @@ TEST(Patterns, DeterministicForSameSeed)
         EXPECT_EQ(x.addr, y.addr);
         EXPECT_EQ(x.isWrite, y.isWrite);
         EXPECT_EQ(x.nonMemBefore, y.nonMemBefore);
+    }
+}
+
+TEST(Workload, ZipfTablesSharedPerDistribution)
+{
+    // 100 k pages: past the 64 K hot-rank cap, so the tail bucket is
+    // in the table too.
+    constexpr std::uint64_t kPages = 100000;
+    auto make = [](Addr base) {
+        return ZipfPagePattern(base, kPages, 0.9, 2, 0.2, 3);
+    };
+
+    // A pattern alone builds its table cold; record its stream.
+    std::vector<MemOp> alone;
+    std::weak_ptr<const AliasTable> first;
+    {
+        ZipfPagePattern p = make(0);
+        first = zipfTable(kPages, 0.9);
+        Rng rng(5);
+        for (int i = 0; i < 5000; ++i)
+            alone.push_back(p.next(rng));
+    }
+    // Freed with its last pattern; the next request rebuilds it.
+    EXPECT_TRUE(first.expired());
+
+    const std::shared_ptr<const AliasTable> table = zipfTable(kPages, 0.9);
+    EXPECT_EQ(table.use_count(), 1);
+    EXPECT_EQ(zipfTable(kPages, 0.9), table);
+    EXPECT_NE(zipfTable(kPages, 0.8), table);
+    EXPECT_NE(zipfTable(kPages / 2, 0.9), table);
+
+    // Two patterns of the same distribution hold the one table, and
+    // draws through it stay independent: interleaved with the other
+    // pattern's draws, the stream equals the lone pattern's.
+    ZipfPagePattern a = make(0), b = make(1ull << 30);
+    EXPECT_EQ(table.use_count(), 3);
+    Rng ra(5), rb(6);
+    for (const MemOp &want : alone) {
+        b.next(rb);
+        const MemOp got = a.next(ra);
+        EXPECT_EQ(got.addr, want.addr);
+        EXPECT_EQ(got.isWrite, want.isWrite);
+        EXPECT_EQ(got.nonMemBefore, want.nonMemBefore);
     }
 }
 
