@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <functional>
+
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "common/alias_table.hh"
@@ -207,6 +210,59 @@ BM_DramChannelThroughputQos(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramChannelThroughputQos);
+
+static void
+BM_DramChannelSteadyStream(benchmark::State &state)
+{
+    // A closed loop like stream-unison's: 16 sequential streams, each
+    // keeping 4 reads in flight and issuing the next when one lands;
+    // every other completion also posts a write-back on the stream's
+    // own write cursor. The queues hold tens of keys throughout and
+    // writes drain in batches, where the throughput benches above
+    // queue 1000 requests at once.
+    constexpr int kStreams = 16;
+    constexpr int kInFlight = 4;
+    constexpr int kReads = 4000;
+    for (auto _ : state) {
+        EventQueue eq;
+        DramModel dram(eq, DramTiming{}, 1, "bm");
+        std::array<Addr, kStreams> readPos{};
+        std::array<Addr, kStreams> writePos{};
+        for (int s = 0; s < kStreams; ++s) {
+            readPos[s] = static_cast<Addr>(s) << 24;
+            writePos[s] = readPos[s] + (1ull << 23);
+        }
+        int issued = 0;
+        int completed = 0;
+        std::function<void(int)> issueRead = [&](int s) {
+            if (issued == kReads)
+                return;
+            ++issued;
+            DramRequest req;
+            req.addr = readPos[s];
+            readPos[s] += 64;
+            req.bytes = 64;
+            req.done = [&, s](Cycle) {
+                if (++completed % 2 == 0) {
+                    DramRequest wb;
+                    wb.addr = writePos[s];
+                    writePos[s] += 64;
+                    wb.bytes = 64;
+                    wb.isWrite = true;
+                    dram.access(0, std::move(wb));
+                }
+                issueRead(s);
+            };
+            dram.access(0, std::move(req));
+        };
+        for (int k = 0; k < kInFlight; ++k)
+            for (int s = 0; s < kStreams; ++s)
+                issueRead(s);
+        eq.run();
+        benchmark::DoNotOptimize(eq.now());
+    }
+}
+BENCHMARK(BM_DramChannelSteadyStream);
 
 static void
 BM_ZipfPatternNext(benchmark::State &state)

@@ -21,7 +21,7 @@ DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
       rcdCycles_(timing.toCore(timing.scaledRCD())),
       rpCycles_(timing.toCore(timing.scaledRP())),
       rasCycles_(timing.toCore(timing.scaledRAS())),
-      banks_(timing.numBanks),
+      banks_(timing.numBanks), bankReady_(timing.numBanks),
       kickEvent_([this] { kick(); }),
       statReqs_(stats.counter(name_ + ".requests")),
       statRowHits_(stats.counter(name_ + ".rowHits")),
@@ -90,28 +90,40 @@ DramChannel::armKick(Cycle when)
     eq_.schedule(kickEvent_, when);
 }
 
-Cycle
-DramChannel::bankReadyCycle(const QueueKey &k, Cycle now) const
+void
+DramChannel::refreshBankReady(std::size_t b, Cycle now)
 {
-    // Mirrors issue(): earliest cycle this request's data could be on
-    // the bus given only its bank's state. CAS commands pipeline: the
-    // bank accepts the next column access one burst after the
-    // previous one issued, so back-to-back row hits are bus-limited,
-    // not tCAS-limited.
-    const Bank &bank = banks_[k.bank];
+    // Mirrors issue(). CAS commands pipeline: the bank accepts the
+    // next column access one burst after the previous one issued, so
+    // back-to-back row hits are bus-limited, not tCAS-limited.
+    const Bank &bank = banks_[b];
     const Cycle start = std::max(now, bank.readyCycle);
-
-    if (bank.openRow == k.row) {
-        // Row-buffer hit: only the column access.
-        return start + casCycles_;
-    }
+    BankReady &e = bankReady_[b];
+    e.openRow = bank.openRow;
+    // Row-buffer hit: only the column access.
+    e.hitReady = start + casCycles_;
     if (bank.openRow == ~0ull) {
         // Bank closed: activate then access.
-        return start + rcdCycles_ + casCycles_;
+        e.missReady = start + rcdCycles_ + casCycles_;
+    } else {
+        // Conflict: precharge (respecting tRAS) + activate + access.
+        const Cycle preStart =
+            std::max(start, bank.lastActStart + rasCycles_);
+        e.missReady = preStart + rpCycles_ + rcdCycles_ + casCycles_;
     }
-    // Conflict: precharge (respecting tRAS) + activate + access.
-    const Cycle preStart = std::max(start, bank.lastActStart + rasCycles_);
-    return preStart + rpCycles_ + rcdCycles_ + casCycles_;
+}
+
+const DramChannel::BankReady *
+DramChannel::bankReadyTable(Cycle now)
+{
+    // Within a cycle only issue() changes a bank, and it refreshes
+    // that bank's entry itself.
+    if (bankReadyAt_ != now) {
+        for (std::size_t b = 0; b < banks_.size(); ++b)
+            refreshBankReady(b, now);
+        bankReadyAt_ = now;
+    }
+    return bankReady_.data();
 }
 
 bool
@@ -136,25 +148,25 @@ DramChannel::selectNext(QueueKey &out)
         drainingWrites_ = false;
     }
 
-    std::deque<QueueKey> &q =
+    KeyRing<QueueKey> &q =
         (drainingWrites_ && !writeQ_.empty()) ? writeQ_ : readQ_;
     if (q.empty())
         return false;
 
     // FR-FCFS: earliest possible bus time wins; FCFS tie-break.
-    const Cycle now = eq_.now();
+    const BankReady *ready = bankReadyTable(eq_.now());
     std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0], now);
+    Cycle bestReady = readyOf(ready, q[0]);
     const std::size_t window = std::min<std::size_t>(q.size(), 16);
     for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i], now);
+        const Cycle r = readyOf(ready, q[i]);
         if (r < bestReady) {
             bestReady = r;
             best = i;
         }
     }
     out = q[best];
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(best));
+    q.erase(best);
     return true;
 }
 
@@ -250,7 +262,7 @@ DramChannel::selectNextQos(QueueKey &out)
     // both sides stay bounded.
     const bool readPreempts =
         drainingWrites_ && readOverAge && !writeOverAge;
-    std::deque<QueueKey> &q =
+    KeyRing<QueueKey> &q =
         (drainingWrites_ && !writeQ_.empty() && !readPreempts)
             ? writeQ_
             : readQ_;
@@ -263,7 +275,7 @@ DramChannel::selectNextQos(QueueKey &out)
                                         : qos_.readAgeCap;
     if (ageCap > 0 && now - arrivalOf(q.front()) > ageCap) {
         out = q.front();
-        q.pop_front();
+        q.erase(0);
         Pending &p = pool_[out.slot];
         p.qosMark = kQosAged;
         qosCharge(p);
@@ -276,12 +288,13 @@ DramChannel::selectNextQos(QueueKey &out)
     // contender the overall best issues anyway.
     const std::size_t window = std::min<std::size_t>(
         q.size(), std::max<std::uint32_t>(qos_.window, 1));
+    const BankReady *ready = bankReadyTable(now);
     std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0], now);
+    Cycle bestReady = readyOf(ready, q[0]);
     std::size_t bestElig = qosEligible(q[0]) ? 0 : window; // window = none
     Cycle bestEligReady = bestReady;
     for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i], now);
+        const Cycle r = readyOf(ready, q[i]);
         if (r < bestReady) {
             bestReady = r;
             best = i;
@@ -302,7 +315,7 @@ DramChannel::selectNextQos(QueueKey &out)
             telem_->qosDeferAge.record(now - bypassed.arrival);
     }
     out = q[pick];
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+    q.erase(pick);
     qosCharge(pool_[out.slot]);
     return true;
 }
@@ -350,6 +363,7 @@ DramChannel::issue(const QueueKey &k)
     // so consecutive row hits stream at full bus bandwidth while the
     // tCAS latency of each access is still paid by its own data.
     bank.readyCycle = casTime + transfer;
+    refreshBankReady(k.bank, eq_.now());
 
     ++statReqs_;
     statTotalLatency_ += complete - p.arrival;

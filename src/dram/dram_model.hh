@@ -12,12 +12,14 @@
  * ones, so the model pipelines across banks like real devices.
  *
  * Everything the scheduler scans is resolved once, when a request
- * arrives: its row and bank go into a 16-byte queue key, and the
- * latency-scaled bank timings are channel constants. The request
+ * arrives: its row and bank go into a 16-byte queue key. The request
  * itself (payload, arrival cycle, QoS mark) waits in a slot pool and
- * never moves; the read and write queues hold only keys, so each pick
- * compares bank state against compact keys and erasing a picked key
- * shifts 16-byte entries.
+ * never moves; the read and write queues are rings of keys alone
+ * (KeyRing), so erasing a picked key moves only the keys in front of
+ * it. Each pick compares keys against a per-bank ready table: the
+ * cycle a row hit and a row miss could put data on the bus, filled
+ * for all banks at the first pick of a cycle and for one bank after
+ * each issue (banks change only at issue, and the cycle is fixed).
  *
  * Large transfers must be chopped by the caller (schemes move pages
  * as a train of chunk requests); a single request may move at most
@@ -31,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <array>
@@ -69,6 +72,72 @@ struct DramRequest
     /** Owning (sampled) page for span tracing; kNoSpanPage = untraced. */
     PageNum spanPage = kNoSpanPage;
     DramDoneFn done;            ///< may be empty (posted writes)
+};
+
+/**
+ * A FIFO of trivially copyable keys in one power-of-two buffer that
+ * also supports erasing from the middle: key i sits at
+ * buf[(head + i) & mask]. erase(i) moves the i keys in front of it
+ * back one slot and advances the head, so picks near the front (the
+ * scheduler's window) move few keys. A full ring doubles, copying
+ * its keys in order.
+ */
+template <typename T>
+class KeyRing
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "erase and grow move keys by plain copies");
+
+  public:
+    static constexpr std::size_t kInitialCapacity = 32;
+
+    KeyRing() : buf_(kInitialCapacity) {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t capacity() const { return buf_.size(); }
+
+    const T &operator[](std::size_t i) const { return buf_[slot(i)]; }
+    const T &front() const { return buf_[head_]; }
+
+    void
+    push_back(const T &key)
+    {
+        if (size_ == buf_.size())
+            grow();
+        buf_[slot(size_)] = key;
+        ++size_;
+    }
+
+    /** Remove key @p i, keeping the others in order. */
+    void
+    erase(std::size_t i)
+    {
+        for (; i > 0; --i)
+            buf_[slot(i)] = buf_[slot(i - 1)];
+        head_ = slot(1);
+        --size_;
+    }
+
+  private:
+    std::size_t slot(std::size_t i) const
+    {
+        return (head_ + i) & (buf_.size() - 1);
+    }
+
+    void
+    grow()
+    {
+        std::vector<T> next(buf_.size() * 2);
+        for (std::size_t i = 0; i < size_; ++i)
+            next[i] = (*this)[i];
+        buf_.swap(next);
+        head_ = 0;
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 /** One DRAM channel: banks + data bus + queues + scheduler. */
@@ -146,17 +215,37 @@ class DramChannel
         Cycle lastActStart = 0;     ///< for the tRAS constraint
     };
 
+    /** Earliest cycle a request's data could be on the bus if issued
+     *  now, given only its bank: hitReady for the open row, missReady
+     *  for any other (closed bank or conflict, neither depends on the
+     *  row). */
+    struct BankReady
+    {
+        std::uint64_t openRow = ~0ull;
+        Cycle hitReady = 0;
+        Cycle missReady = 0;
+    };
+
     /** Ensure a scheduler kick is pending at or before @p when. */
     void armKick(Cycle when);
 
     /** Scheduler: issue as many requests as the lookahead allows. */
     void kick();
 
-    /**
-     * Earliest cycle the data of @p k could appear on the bus if
-     * issued at @p now, considering only its bank (not the bus).
-     */
-    Cycle bankReadyCycle(const QueueKey &k, Cycle now) const;
+    /** Recompute @p bank's ready-table entry for cycle @p now. */
+    void refreshBankReady(std::size_t bank, Cycle now);
+
+    /** The ready table for cycle @p now, refilled at the first pick of
+     *  each cycle. */
+    const BankReady *bankReadyTable(Cycle now);
+
+    /** Ready cycle of @p k from the table @p ready. */
+    static Cycle
+    readyOf(const BankReady *ready, const QueueKey &k)
+    {
+        const BankReady &e = ready[k.bank];
+        return e.openRow == k.row ? e.hitReady : e.missReady;
+    }
 
     /** Issue one request: update bank/bus state, schedule completion,
      *  and release its pool slot. */
@@ -205,9 +294,11 @@ class DramChannel
     const Cycle rasCycles_;
 
     std::vector<Bank> banks_;
+    std::vector<BankReady> bankReady_;
+    Cycle bankReadyAt_ = ~0ull; ///< cycle bankReady_ was filled for
     /** Keys of queued requests in arrival (push) order. */
-    std::deque<QueueKey> readQ_;
-    std::deque<QueueKey> writeQ_;
+    KeyRing<QueueKey> readQ_;
+    KeyRing<QueueKey> writeQ_;
     /** Payload slots of queued requests. A deque grows without
      *  relocating existing slots, so peak memory stays at one copy
      *  through migration bursts; freed slots are reused LIFO. */

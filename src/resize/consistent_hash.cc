@@ -65,8 +65,10 @@ ConsistentHashMapper::sliceOf(PageNum page, TenantId tenant) const
                          VNode{point, 0}) -
         ring_.begin();
     std::uint32_t fallback = params_.numSlices;
-    for (std::size_t step = 0; step < ring_.size(); ++step) {
-        const VNode &vn = ring_[(idx + step) % ring_.size()];
+    for (std::size_t step = 0; step < ring_.size(); ++step, ++idx) {
+        if (idx == ring_.size())
+            idx = 0;
+        const VNode &vn = ring_[idx];
         if (!active_[vn.slice])
             continue;
         const TenantId owner = sliceTenant_[vn.slice];

@@ -101,27 +101,57 @@ buildZipfTable(std::uint64_t numPages, double alpha)
     return AliasTable(weights);
 }
 
+/**
+ * Weak references: the memo never keeps a table alive by itself.
+ * The tables are immutable, so sharing them across concurrently
+ * running Systems changes nothing they simulate.
+ */
+struct ZipfMemo
+{
+    std::mutex mutex;
+    std::map<std::pair<std::uint64_t, double>,
+             std::weak_ptr<const AliasTable>>
+        tables;
+};
+
+ZipfMemo &
+zipfMemo()
+{
+    static ZipfMemo memo;
+    return memo;
+}
+
 } // namespace
 
 std::shared_ptr<const AliasTable>
 zipfTable(std::uint64_t numPages, double alpha)
 {
-    // Weak references: the memo never keeps a table alive by itself.
-    // The tables are immutable, so sharing them across concurrently
-    // running Systems changes nothing they simulate.
-    static std::mutex mutex;
-    static std::map<std::pair<std::uint64_t, double>,
-                    std::weak_ptr<const AliasTable>>
-        memo;
-    const std::lock_guard<std::mutex> lock(mutex);
-    std::weak_ptr<const AliasTable> &slot = memo[{numPages, alpha}];
+    ZipfMemo &memo = zipfMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    std::weak_ptr<const AliasTable> &slot = memo.tables[{numPages, alpha}];
     std::shared_ptr<const AliasTable> table = slot.lock();
     if (!table) {
         table = std::make_shared<const AliasTable>(
             buildZipfTable(numPages, alpha));
         slot = table;
+        // Drop the entries of freed tables, so the memo holds only
+        // live distributions however many a process has built.
+        for (auto it = memo.tables.begin(); it != memo.tables.end();) {
+            if (it->second.expired())
+                it = memo.tables.erase(it);
+            else
+                ++it;
+        }
     }
     return table;
+}
+
+std::size_t
+zipfTableMemoSize()
+{
+    ZipfMemo &memo = zipfMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.tables.size();
 }
 
 ZipfPagePattern::ZipfPagePattern(Addr base, std::uint64_t numPages,

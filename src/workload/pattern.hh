@@ -107,6 +107,10 @@ class StreamPattern : public AccessPattern
 std::shared_ptr<const AliasTable> zipfTable(std::uint64_t numPages,
                                             double alpha);
 
+/** Distributions the zipfTable memo holds an entry for: the live
+ *  tables, plus any freed since the memo last built one. */
+std::size_t zipfTableMemoSize();
+
 /**
  * Pages drawn from a Zipf(alpha) popularity distribution over
  * [base, base + numPages * 4KB). Each page visit touches

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -597,6 +598,163 @@ TEST(DramGoldenTest, QosSchedulerPickOrderIsPinned)
     EXPECT_EQ(r.hash, 0x025052f9a7d1a841ull);
     EXPECT_EQ(r.grants, (std::array<std::uint64_t, 3>{815, 815, 418}));
     EXPECT_EQ(r.defers, (std::array<std::uint64_t, 3>{0, 268, 0}));
+}
+
+// A read queue whose head has moved on: the first burst issues in
+// full and leaves the queue empty 30 keys in, so the second burst
+// wraps past the end of the key ring's first allocation before it
+// outgrows it. Bursts are spaced so each drains before the next.
+// The hash was recorded when the queues were std::deques, before
+// they became key rings.
+TEST(DramGoldenTest, ReadBurstAfterWrapIsPinned)
+{
+    static_assert(30 < KeyRing<int>::kInitialCapacity &&
+                      30 + KeyRing<int>::kInitialCapacity < 100,
+                  "the bursts must wrap the ring, then outgrow it");
+    const DramTiming t;
+    EventQueue eq;
+    DramModel dram(eq, t, 1, "wrap");
+    constexpr std::array<int, 3> kBursts{30, 100, 70};
+    constexpr Cycle kGap = 20000;
+    std::vector<Cycle> done(200, 0);
+    std::vector<std::size_t> queued;
+    Rng rng(42);
+    int next = 0;
+    for (std::size_t b = 0; b < kBursts.size(); ++b) {
+        std::vector<DramRequest> batch;
+        for (int i = 0; i < kBursts[b]; ++i, ++next) {
+            DramRequest req;
+            // Half to four hot rows (hits), half scattered (conflicts).
+            req.addr = rng.nextBelow(2) == 0
+                           ? rng.nextBelow(4) * t.rowBytes +
+                                 rng.nextBelow(128) * 64
+                           : rng.nextBelow(1ull << 30) & ~63ull;
+            req.bytes = 64;
+            req.done = [&done, next](Cycle when) { done[next] = when; };
+            batch.push_back(std::move(req));
+        }
+        eq.schedule(b * kGap,
+                    [&dram, &queued, batch = std::move(batch)]() mutable {
+                        queued.push_back(dram.channel(0).queuedReads());
+                        for (DramRequest &r : batch)
+                            dram.access(0, std::move(r));
+                    });
+    }
+    eq.run();
+
+    EXPECT_EQ(queued, (std::vector<std::size_t>{0, 0, 0}));
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        EXPECT_GT(done[i], i < 30 ? 0 : i < 130 ? kGap : 2 * kGap) << i;
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (done[i] >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+    EXPECT_EQ(hash, 0x1bb18c24996b5743ull);
+}
+
+// ------------------------------------------------------------------
+// KeyRing: the scheduler's queue of keys.
+// ------------------------------------------------------------------
+
+std::vector<int>
+contents(const KeyRing<int> &ring)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        out.push_back(ring[i]);
+    return out;
+}
+
+/** A ring whose head sits @p headAt slots in, holding @p keys. */
+KeyRing<int>
+ringWithHeadAt(std::size_t headAt, const std::vector<int> &keys)
+{
+    KeyRing<int> ring;
+    for (std::size_t i = 0; i < headAt; ++i) {
+        ring.push_back(-1);
+        ring.erase(0);
+    }
+    for (int k : keys)
+        ring.push_back(k);
+    return ring;
+}
+
+TEST(KeyRing, EraseFrontAndWindowEnd)
+{
+    KeyRing<int> ring = ringWithHeadAt(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10, 11, 12, 13, 14, 15, 16});
+    ring.erase(15); // the last key of a 16-key window; 16 moves up
+    EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                                9, 10, 11, 12, 13, 14,
+                                                16}));
+    ring.erase(0);
+    EXPECT_EQ(ring.front(), 1);
+    ring.erase(ring.size() - 1);
+    EXPECT_EQ(contents(ring), (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                                10, 11, 12, 13, 14}));
+}
+
+TEST(KeyRing, EraseAcrossTheWrapPoint)
+{
+    // Head 4 slots before the end: keys 0..3 sit at the top of the
+    // buffer, 4..9 at its bottom.
+    const std::size_t cap = KeyRing<int>::kInitialCapacity;
+    KeyRing<int> ring = ringWithHeadAt(cap - 4, {0, 1, 2, 3, 4, 5, 6, 7,
+                                                 8, 9});
+    ring.erase(6); // shifts 0..5 across the wrap point
+    EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2, 3, 4, 5, 7, 8, 9}));
+    ring.erase(3); // the last key before the wrap point
+    EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2, 4, 5, 7, 8, 9}));
+    ring.erase(0);
+    ring.erase(0);
+    ring.erase(0);
+    ring.erase(0); // the head itself wraps to slot 0
+    EXPECT_EQ(contents(ring), (std::vector<int>{5, 7, 8, 9}));
+    ring.push_back(10);
+    EXPECT_EQ(contents(ring), (std::vector<int>{5, 7, 8, 9, 10}));
+    EXPECT_EQ(ring.capacity(), cap);
+}
+
+TEST(KeyRing, GrowsInOrderWhileWrapped)
+{
+    const std::size_t cap = KeyRing<int>::kInitialCapacity;
+    std::vector<int> keys(cap);
+    for (std::size_t i = 0; i < cap; ++i)
+        keys[i] = static_cast<int>(i);
+    KeyRing<int> ring = ringWithHeadAt(cap / 2 + 3, keys);
+    EXPECT_EQ(ring.capacity(), cap);
+    ring.push_back(static_cast<int>(cap));
+    keys.push_back(static_cast<int>(cap));
+    EXPECT_EQ(ring.capacity(), 2 * cap);
+    EXPECT_EQ(contents(ring), keys);
+    ring.erase(cap - 1);
+    keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(cap - 1));
+    EXPECT_EQ(contents(ring), keys);
+}
+
+TEST(KeyRing, MatchesADequeUnderRandomPushAndErase)
+{
+    Rng rng(11);
+    KeyRing<int> ring;
+    std::deque<int> ref;
+    for (int op = 0; op < 20000; ++op) {
+        // Pushes slightly outnumber erases, so the ring wraps many
+        // times and grows twice.
+        if (ref.empty() || rng.nextBelow(100) < 52) {
+            ring.push_back(op);
+            ref.push_back(op);
+        } else {
+            const std::size_t i =
+                rng.nextBelow(std::min<std::size_t>(ref.size(), 64));
+            ring.erase(i);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+    }
+    EXPECT_GT(ring.capacity(), KeyRing<int>::kInitialCapacity);
+    EXPECT_EQ(contents(ring), std::vector<int>(ref.begin(), ref.end()));
 }
 
 } // namespace

@@ -209,6 +209,18 @@ TEST(Workload, ZipfTablesSharedPerDistribution)
     }
 }
 
+TEST(Workload, ZipfMemoDropsFreedTables)
+{
+    // A sweep over many footprints: each table is freed as soon as it
+    // is built. The memo keeps the live table and at most the one
+    // freed since its last build, not an entry per footprint.
+    const std::shared_ptr<const AliasTable> held = zipfTable(777, 0.5);
+    for (std::uint64_t pages = 1000; pages < 1200; ++pages)
+        EXPECT_NE(zipfTable(pages, 0.9), nullptr);
+    EXPECT_LE(zipfTableMemoSize(), 2u);
+    EXPECT_EQ(zipfTable(777, 0.5), held);
+}
+
 TEST(SampleGap, BoundedByTwiceMean)
 {
     Rng rng(12);
