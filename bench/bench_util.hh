@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -222,10 +223,18 @@ class BenchRun
     BenchOptions opt;
 
     /** Run one sweep at --threads and keep it for --json. The returned
-     *  reference stays valid for the BenchRun's lifetime. */
+     *  reference stays valid for the BenchRun's lifetime. Panics on a
+     *  label an earlier experiment of this BenchRun already used:
+     *  Sweep::at and the JSON readers key results by label, so a repeat
+     *  would shadow a result. */
     const Sweep &
     run(std::vector<Experiment> exps)
     {
+        for (const Experiment &e : exps) {
+            if (!labels_.insert(e.label).second)
+                panic("experiment label '%s' is used twice",
+                      e.label.c_str());
+        }
         Sweep &sweep = sweeps_.emplace_back();
         sweep.exps = std::move(exps);
         sweep.results = runSweep(sweep.exps, opt.threads, &sweep.perf);
@@ -275,6 +284,7 @@ class BenchRun
   private:
     std::string name_;
     std::deque<Sweep> sweeps_; ///< a deque: run() hands out references
+    std::set<std::string> labels_; ///< every label run() was given
 };
 
 /** @p base running @p workload under @p scheme. */
@@ -305,14 +315,6 @@ schemeGrid(const BenchOptions &opt,
         }
     }
     return exps;
-}
-
-/** The scheme labels used across Figures 4-6, in the paper's order. */
-inline std::vector<std::string>
-figureSchemes()
-{
-    return {"Unison", "TDC", "Alloy 1", "Alloy 0.1", "Banshee",
-            "CacheOnly"};
 }
 
 } // namespace banshee::benchutil

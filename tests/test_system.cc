@@ -321,6 +321,28 @@ TEST(BenchRun, JsonHasHostPerfForEveryResultOfEverySweep)
     std::remove(path.c_str());
 }
 
+// Sweep::at and the JSON readers key results by label, so a label that
+// repeats, within one sweep or across the sweeps of one BenchRun, would
+// shadow a result: run() refuses it before simulating anything.
+TEST(BenchRunDeathTest, RepeatedLabelPanics)
+{
+    std::vector<std::string> args = {"bench_run", "--threads", "1"};
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    benchutil::BenchRun bench(static_cast<int>(argv.size()), argv.data(),
+                              "bench_run", "title", "reference");
+    const std::vector<Experiment> twice = {
+        {"libquantum/NoCache", tiny(SchemeKind::NoCache)},
+        {"libquantum/NoCache", tiny(SchemeKind::Banshee)}};
+    EXPECT_DEATH(bench.run(twice), "label 'libquantum/NoCache'");
+
+    bench.run({{"libquantum/NoCache", tiny(SchemeKind::NoCache)}});
+    EXPECT_DEATH(
+        bench.run({{"libquantum/NoCache", tiny(SchemeKind::Banshee)}}),
+        "label 'libquantum/NoCache'");
+}
+
 TEST(Runner, GeomeanBasics)
 {
     EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
