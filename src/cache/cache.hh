@@ -1,6 +1,7 @@
 /**
  * @file
- * Generic set-associative SRAM cache used for L1I/L1D/L2/L3.
+ * Generic set-associative SRAM cache used for L1I/L1D/L2/L3, stored
+ * as packed per-field arrays (see Cache).
  *
  * The hierarchy is functional-immediate: lookups update state at call
  * time and latencies are accounted by the caller. Only DRAM is
@@ -35,6 +36,28 @@ struct CacheParams
  * A set-associative cache of line addresses. Lines carry a dirty bit
  * and a 64-bit user metadata word (the shared L3 stores a sharer
  * bitmask there, each L2 its L1 presence bits).
+ *
+ * The state is kept per field, one flat array each, indexed by
+ * set * ways + way:
+ *  - tags: a set's tags sit side by side, so a probe scans one
+ *    contiguous run. An empty way holds kEmpty (~0), which is never a
+ *    line address (insert asserts it), so there is no valid bit.
+ *  - age ranks, one byte per way: in every set the ranks are a
+ *    permutation of 0..ways-1, 0 the youngest. Touching a way (an
+ *    insert, or an LRU hit) gives it rank 0 and ages by one every way
+ *    younger than it. The LRU/FIFO victim of a full set is the way
+ *    with rank ways-1.
+ *  - dirty flags, one byte per way.
+ *  - metadata words, allocated the first time the cache stores a
+ *    nonzero word, so the L1s (which never do) keep none.
+ * A line is 10 bytes without metadata and 18 with it.
+ *
+ * Why ranks give the same victims as per-touch stamps: touching moves
+ * a way to the front of its set's recency list, so the ranks order the
+ * valid ways by their last touch, exactly as increasing stamps would.
+ * An empty way keeps its place in the list, and a set with an empty
+ * way takes its first empty way instead of evicting. The ranks stay a
+ * permutation, so, unlike a stamp counter, they cannot wrap.
  */
 class Cache
 {
@@ -102,24 +125,32 @@ class Cache
     std::uint64_t misses() const { return statMisses_.value(); }
 
   private:
-    struct Line
-    {
-        LineAddr tag = 0;
-        std::uint64_t stamp = 0; ///< LRU/FIFO ordering stamp
-        std::uint64_t meta = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of an empty way. */
+    static constexpr LineAddr kEmpty = ~LineAddr{0};
+    /** find()'s result for an absent line. */
+    static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
 
-    std::uint32_t setIndex(LineAddr line) const;
-    Line *findLine(LineAddr line);
-    const Line *findLine(LineAddr line) const;
+    /** Index of @p line's set's first way in the flat arrays. */
+    std::uint64_t setBase(LineAddr line) const;
+    /** Flat index of @p line's way, or kAbsent. */
+    std::uint64_t find(LineAddr line) const;
+    /** Make way @p way of the set at @p base the youngest. */
+    void touch(std::uint64_t base, std::uint32_t way);
+    /** The metadata word at @p i, allocating the array on first use. */
+    std::uint64_t &metaWord(std::uint64_t i);
+    std::uint64_t
+    metaAt(std::uint64_t i) const
+    {
+        return meta_.empty() ? 0 : meta_[i];
+    }
 
     std::uint32_t numSets_;
     std::uint32_t ways_;
     ReplPolicy policy_;
-    std::vector<Line> lines_;
-    std::uint64_t stampCounter_ = 1;
+    std::vector<LineAddr> tags_;
+    std::vector<std::uint8_t> ranks_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint64_t> meta_;
     std::uint64_t randState_;
 
     StatSet stats_;

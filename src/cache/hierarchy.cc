@@ -93,17 +93,14 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
     auto it = mshrs_.find(line);
     if (it != mshrs_.end()) {
         ++statMshrMerges_;
-        it->second.waiters.push_back(
+        it->second.merged.push_back(
             MshrWaiter{core, isWrite, isFetch, std::move(done)});
         return res;
     }
 
     ++statLlcMisses_;
-    MshrEntry entry;
-    entry.mapping = mapping;
-    entry.waiters.push_back(
-        MshrWaiter{core, isWrite, isFetch, std::move(done)});
-    mshrs_.emplace(line, std::move(entry));
+    mshrs_.emplace(line,
+                   MshrEntry{{core, isWrite, isFetch, std::move(done)}, {}});
 
     backend_.fetchLine(line, mapping, core,
                        [this, line](Cycle when) { fillComplete(line, when); });
@@ -184,12 +181,12 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     auto it = mshrs_.find(line);
     sim_assert(it != mshrs_.end(), "fill for unknown MSHR line %llx",
                static_cast<unsigned long long>(line));
-    // Move waiters out before erasing; callbacks may re-enter.
-    std::vector<MshrWaiter> waiters = std::move(it->second.waiters);
+    // Move the entry out before erasing; callbacks may re-enter.
+    MshrEntry entry = std::move(it->second);
     mshrs_.erase(it);
 
-    std::uint64_t sharers = 0;
-    for (const auto &w : waiters)
+    std::uint64_t sharers = 1ull << entry.first.core;
+    for (const auto &w : entry.merged)
         sharers |= 1ull << w.core;
 
     // A line is absent from L3 while its MSHR is open (every access
@@ -199,8 +196,10 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     // So no private level holds it either, until a core's first
     // waiter fills that core's L2 and one L1. A later waiter of the
     // same core finds the L2 copy and probes only its own L1.
-    std::uint64_t filled = 0;
-    for (auto &w : waiters) {
+    fillPrivate(entry.first.core, line, entry.first.isWrite,
+                entry.first.isFetch);
+    std::uint64_t filled = 1ull << entry.first.core;
+    for (auto &w : entry.merged) {
         const std::uint64_t coreBit = 1ull << w.core;
         if (!(filled & coreBit)) {
             filled |= coreBit;
@@ -218,7 +217,9 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
             l1.setDirty(line);
     }
 
-    for (auto &w : waiters) {
+    if (entry.first.done)
+        entry.first.done(when);
+    for (auto &w : entry.merged) {
         if (w.done)
             w.done(when);
     }

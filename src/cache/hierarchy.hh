@@ -105,10 +105,11 @@ class CacheHierarchy
         MissDoneFn done;
     };
 
+    /** An open LLC miss. Merges are rare, so only they allocate. */
     struct MshrEntry
     {
-        std::vector<MshrWaiter> waiters;
-        MappingInfo mapping;
+        MshrWaiter first;
+        std::vector<MshrWaiter> merged;
     };
 
     AccessResult accessInternal(CoreId core, Addr addr, bool isWrite,

@@ -33,12 +33,12 @@ Tlb::lookup(PageNum page)
 
     // Miss: page walk reads the committed PTE.
     ++statMisses_;
-    const PageMapping m = pageTable_.committedMapping(page);
+    const PageTableManager::CommittedPte pte = pageTable_.committedPte(page);
     MappingInfo info;
     info.valid = true;
-    info.cached = m.cached;
-    info.way = m.way;
-    info.version = pageTable_.committedVersion(page);
+    info.cached = pte.mapping.cached;
+    info.way = pte.mapping.way;
+    info.version = pte.version;
 
     Entry *victim = &set[0];
     for (std::uint32_t w = 1; w < params_.ways; ++w) {

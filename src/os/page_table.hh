@@ -60,20 +60,25 @@ class PageTableManager
         return it == pages_.end() ? PageMapping{} : it->second.current;
     }
 
-    /** PTE view (what a TLB refill observes). */
-    PageMapping
-    committedMapping(PageNum page) const
+    /** A PTE as a TLB refill reads it: mapping and version. */
+    struct CommittedPte
     {
-        auto it = pages_.find(page);
-        return it == pages_.end() ? PageMapping{} : it->second.committed;
-    }
+        PageMapping mapping;
+        std::uint32_t version = 0;
+    };
 
-    /** Version of the committed mapping (for staleness tracking). */
-    std::uint32_t
-    committedVersion(PageNum page) const
+    /**
+     * PTE view (what a TLB refill observes), with the version of the
+     * committed mapping for staleness tracking.
+     */
+    CommittedPte
+    committedPte(PageNum page) const
     {
         auto it = pages_.find(page);
-        return it == pages_.end() ? 0 : it->second.committedVersion;
+        return it == pages_.end()
+                   ? CommittedPte{}
+                   : CommittedPte{it->second.committed,
+                                  it->second.committedVersion};
     }
 
     std::uint32_t

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -182,6 +183,236 @@ TEST(Cache, InsertPrefersInvalidWays)
     const auto v = c.insert(8, false);
     EXPECT_FALSE(v.valid); // three ways were still empty
 }
+
+TEST(CacheDeathTest, EmptyWayTagAsserts)
+{
+    Cache c(smallCache(2));
+    EXPECT_DEATH(c.insert(~LineAddr{0}, false), "empty-way tag");
+}
+
+TEST(CacheDeathTest, WaysBeyondRankByteAssert)
+{
+    EXPECT_DEATH(Cache c(smallCache(257)), "one-byte age rank");
+}
+
+TEST(Cache, LargestRankByteEvictsOldest)
+{
+    // 256 ways: the oldest line's age rank is 255, the most a byte holds.
+    Cache c(smallCache(256));
+    for (LineAddr i = 0; i < 256; ++i)
+        c.insert(i * 8, false);
+    c.lookup(0, false);
+    const auto v = c.insert(256 * 8, false);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.line, 8u);
+}
+
+/**
+ * Reference model: one struct per line, and a stamp from a counter
+ * taken on every insert (and on every LRU hit) orders LRU/FIFO
+ * victims. Cache must pick the same victims with its age ranks.
+ */
+class StampCache
+{
+  public:
+    StampCache(std::uint32_t sets, std::uint32_t ways, ReplPolicy policy)
+        : sets_(sets), ways_(ways), policy_(policy),
+          lines_(static_cast<std::size_t>(sets) * ways)
+    {
+    }
+
+    bool
+    contains(LineAddr line)
+    {
+        return find(line) != nullptr;
+    }
+
+    bool
+    lookup(LineAddr line, bool isWrite, std::uint64_t metaBits)
+    {
+        Line *l = find(line);
+        if (!l)
+            return false;
+        if (policy_ == ReplPolicy::Lru)
+            l->stamp = stamp_++;
+        l->dirty |= isWrite;
+        l->meta |= metaBits;
+        return true;
+    }
+
+    Cache::Victim
+    insert(LineAddr line, bool dirty, std::uint64_t meta)
+    {
+        Line *set = &lines_[(line % sets_) * ways_];
+        Line *slot = nullptr;
+        Line *oldest = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!set[w].valid) {
+                if (!slot)
+                    slot = &set[w];
+            } else if (!oldest || set[w].stamp < oldest->stamp) {
+                oldest = &set[w];
+            }
+        }
+        Cache::Victim v;
+        if (!slot) {
+            if (policy_ == ReplPolicy::Random) {
+                rand_ ^= rand_ << 13;
+                rand_ ^= rand_ >> 7;
+                rand_ ^= rand_ << 17;
+                slot = &set[rand_ % ways_];
+            } else {
+                slot = oldest;
+            }
+            v = Cache::Victim{true, slot->dirty, slot->tag, slot->meta};
+        }
+        *slot = Line{line, stamp_++, meta, true, dirty};
+        return v;
+    }
+
+    Cache::Victim
+    invalidate(LineAddr line)
+    {
+        Line *l = find(line);
+        if (!l)
+            return Cache::Victim{};
+        l->valid = false;
+        return Cache::Victim{true, l->dirty, l->tag, l->meta};
+    }
+
+    bool
+    addMeta(LineAddr line, std::uint64_t bits)
+    {
+        Line *l = find(line);
+        if (l)
+            l->meta |= bits;
+        return l != nullptr;
+    }
+
+    void
+    release(LineAddr line, std::uint64_t clearBits, bool dirty)
+    {
+        Line *l = find(line);
+        l->meta &= ~clearBits;
+        l->dirty |= dirty;
+    }
+
+    void setDirty(LineAddr line) { find(line)->dirty = true; }
+
+    std::uint64_t meta(LineAddr line) { return find(line)->meta; }
+
+  private:
+    struct Line
+    {
+        LineAddr tag = 0;
+        std::uint64_t stamp = 0;
+        std::uint64_t meta = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Line *
+    find(LineAddr line)
+    {
+        Line *set = &lines_[(line % sets_) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].tag == line)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    ReplPolicy policy_;
+    std::vector<Line> lines_;
+    std::uint64_t stamp_ = 1;
+    std::uint64_t rand_ = 0x853c49e6748fea9bull;
+};
+
+auto
+fields(const Cache::Victim &v)
+{
+    return std::make_tuple(v.valid, v.dirty, v.line, v.meta);
+}
+
+class CacheDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<ReplPolicy, int>>
+{
+};
+
+TEST_P(CacheDifferentialTest, MatchesStampModel)
+{
+    const auto [policy, ways] = GetParam();
+    constexpr std::uint32_t kSets = 8; // smallCache's geometry
+    Cache c(smallCache(static_cast<std::uint32_t>(ways), policy));
+    StampCache ref(kSets, static_cast<std::uint32_t>(ways), policy);
+    Rng rng(23 + static_cast<std::uint64_t>(ways));
+    // About three lines per way, so sets fill, evict and refill.
+    const std::uint64_t span = 3ull * kSets * static_cast<std::uint64_t>(ways);
+    constexpr int kOps = 20000;
+    std::uint64_t evictions = 0;
+    for (int i = 0; i < kOps; ++i) {
+        SCOPED_TRACE(i);
+        const LineAddr line = rng.nextBelow(span);
+        const bool write = rng.nextBelow(4) == 0;
+        // No metadata for the first half: Cache allocates its
+        // metadata words mid-run, on the first nonzero one.
+        const std::uint64_t bits = i < kOps / 2 || rng.nextBelow(4) == 0
+                                       ? 0
+                                       : 1ull << rng.nextBelow(64);
+        const bool present = ref.contains(line);
+        ASSERT_EQ(c.contains(line), present);
+        switch (rng.nextBelow(8)) {
+        case 0:
+        case 1:
+        case 2:
+            ASSERT_EQ(c.lookup(line, write, bits), present);
+            ref.lookup(line, write, bits);
+            if (!present) {
+                const Cache::Victim v = c.insert(line, write, bits);
+                ASSERT_EQ(fields(v), fields(ref.insert(line, write, bits)));
+                evictions += v.valid;
+            }
+            break;
+        case 3:
+            ASSERT_EQ(fields(c.invalidate(line)),
+                      fields(ref.invalidate(line)));
+            break;
+        case 4:
+            if (present) {
+                const std::uint64_t clear = rng.next();
+                c.release(line, clear, write);
+                ref.release(line, clear, write);
+            }
+            break;
+        case 5:
+            ASSERT_EQ(c.addMeta(line, bits), ref.addMeta(line, bits));
+            break;
+        case 6:
+            if (present) {
+                c.setDirty(line);
+                ref.setDirty(line);
+            }
+            break;
+        default:
+            if (present) {
+                ASSERT_EQ(c.meta(line), ref.meta(line));
+            }
+            break;
+        }
+    }
+    // Every resident line still matches, victim state included.
+    for (LineAddr line = 0; line < span; ++line)
+        ASSERT_EQ(fields(c.invalidate(line)), fields(ref.invalidate(line)));
+    EXPECT_GT(evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndWays, CacheDifferentialTest,
+    ::testing::Combine(::testing::Values(ReplPolicy::Lru, ReplPolicy::Fifo,
+                                         ReplPolicy::Random),
+                       ::testing::Values(1, 2, 4, 8, 16)));
 
 class CacheGeometryTest
     : public ::testing::TestWithParam<std::tuple<int, int>>

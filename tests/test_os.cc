@@ -19,7 +19,7 @@ TEST(PageTable, DefaultsToUncached)
 {
     PageTableManager pt;
     EXPECT_FALSE(pt.currentMapping(7).cached);
-    EXPECT_FALSE(pt.committedMapping(7).cached);
+    EXPECT_FALSE(pt.committedPte(7).mapping.cached);
     EXPECT_FALSE(pt.isStale(7));
 }
 
@@ -28,13 +28,13 @@ TEST(PageTable, RemapMakesPteStaleUntilCommit)
     PageTableManager pt;
     pt.setCurrentMapping(7, PageMapping{true, 3});
     EXPECT_TRUE(pt.currentMapping(7).cached);
-    EXPECT_FALSE(pt.committedMapping(7).cached); // PTE lags
+    EXPECT_FALSE(pt.committedPte(7).mapping.cached); // PTE lags
     EXPECT_TRUE(pt.isStale(7));
     EXPECT_EQ(pt.staleCount(), 1u);
 
     pt.commit(7);
-    EXPECT_TRUE(pt.committedMapping(7).cached);
-    EXPECT_EQ(pt.committedMapping(7).way, 3);
+    EXPECT_TRUE(pt.committedPte(7).mapping.cached);
+    EXPECT_EQ(pt.committedPte(7).mapping.way, 3);
     EXPECT_FALSE(pt.isStale(7));
     EXPECT_EQ(pt.staleCount(), 0u);
 }
@@ -42,12 +42,12 @@ TEST(PageTable, RemapMakesPteStaleUntilCommit)
 TEST(PageTable, VersionsAdvanceOnRemapAndCommit)
 {
     PageTableManager pt;
-    const auto v0 = pt.committedVersion(9);
+    const auto v0 = pt.committedPte(9).version;
     pt.setCurrentMapping(9, PageMapping{true, 0});
-    EXPECT_EQ(pt.committedVersion(9), v0); // commit not yet run
+    EXPECT_EQ(pt.committedPte(9).version, v0); // commit not yet run
     EXPECT_GT(pt.currentVersion(9), v0);
     pt.commit(9);
-    EXPECT_EQ(pt.committedVersion(9), pt.currentVersion(9));
+    EXPECT_EQ(pt.committedPte(9).version, pt.currentVersion(9));
 }
 
 TEST(PageTable, CommitWritesOnePtePerAlias)
